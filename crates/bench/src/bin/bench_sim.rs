@@ -24,18 +24,13 @@
 //! thresholds, because CI machines are noisy.
 //!
 //! `--scaling-nodes 12,24,48,96` overrides the node counts of the
-//! nodes-vs-throughput scaling curve. The harness also times the sharded
-//! executor on a metro-scale grid-city trace across worker counts
-//! (`shard_scaling` in the JSON); the parallel-speedup acceptance gate
-//! only arms on machines with at least 4 available cores, because a
-//! single-core box cannot demonstrate parallelism however correct the
-//! executor is.
+//! nodes-vs-throughput scaling curve.
 
 use std::time::Instant;
 
 use photodtn_bench::scheme_by_name;
 use photodtn_contacts::ContactTrace;
-use photodtn_sim::{default_worker_count, SimConfig, Simulation, WorldSource, WorldSpec};
+use photodtn_sim::{SimConfig, Simulation, WorldSource};
 
 /// Schemes timed by the harness: ours (the acceptance target), its
 /// ablation, and the strongest baselines by per-contact work.
@@ -110,109 +105,6 @@ impl Workload {
             .with_storage_bytes(40 * 4 * 1024 * 1024);
         config.num_pois = self.num_pois;
         config
-    }
-}
-
-/// Metro-scale workload driving the sharded executor's
-/// workers-vs-throughput curve.
-struct MetroWorkload {
-    nodes: u32,
-    hours: f64,
-    grid: u32,
-    photos_per_hour: f64,
-    trace_seed: u64,
-    run_seed: u64,
-    iters: usize,
-}
-
-impl MetroWorkload {
-    fn full() -> Self {
-        MetroWorkload {
-            nodes: 5000,
-            hours: 6.0,
-            grid: 8,
-            photos_per_hour: 1000.0,
-            trace_seed: 17,
-            run_seed: 42,
-            iters: 3,
-        }
-    }
-
-    fn smoke() -> Self {
-        MetroWorkload {
-            nodes: 400,
-            hours: 1.0,
-            grid: 4,
-            photos_per_hour: 200.0,
-            trace_seed: 17,
-            run_seed: 42,
-            iters: 1,
-        }
-    }
-
-    fn trace(&self) -> ContactTrace {
-        let source = WorldSource::synthetic(
-            "metro",
-            Some(self.nodes),
-            Some(self.hours),
-            Some(self.grid),
-            None,
-        )
-        .expect("the workload is a valid metro world");
-        WorldSpec::new(source)
-            .build_trace(self.trace_seed)
-            .expect("synthetic worlds always build")
-    }
-
-    fn config(&self, shards: usize) -> SimConfig {
-        SimConfig::mit_default()
-            .with_photos_per_hour(self.photos_per_hour)
-            .with_shards(shards)
-    }
-}
-
-/// One point of the shard workers-vs-throughput curve.
-struct ShardTiming {
-    /// Requested `--shards` value.
-    workers: usize,
-    /// Workers the engine actually used (1 = it fell back to the
-    /// sequential path, which would make the point meaningless).
-    reported_workers: u64,
-    median_ns: u128,
-    min_ns: u128,
-    events: u64,
-}
-
-impl ShardTiming {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.median_ns as f64 / 1e9)
-    }
-}
-
-/// Times `ours` on the metro trace at one shard count.
-fn time_shards(workload: &MetroWorkload, trace: &ContactTrace, shards: usize) -> ShardTiming {
-    let config = workload.config(shards);
-    let mut events = 0u64;
-    let mut reported_workers = 0u64;
-    let mut times: Vec<u128> = (0..workload.iters.max(1))
-        .map(|_| {
-            let mut s = scheme_by_name("ours");
-            let mut sim = Simulation::new(&config, trace, workload.run_seed);
-            let t = Instant::now();
-            let (_, _, stats) = sim.run_instrumented(&mut *s);
-            let elapsed = t.elapsed().as_nanos();
-            events = stats.events;
-            reported_workers = stats.workers;
-            elapsed
-        })
-        .collect();
-    times.sort_unstable();
-    ShardTiming {
-        workers: shards,
-        reported_workers,
-        median_ns: times[times.len() / 2],
-        min_ns: times[0],
-        events,
     }
 }
 
@@ -388,46 +280,6 @@ fn main() {
         })
         .collect();
 
-    // Sharded-executor curve: the same metro-scale run at increasing
-    // worker counts. Speedups compare against `--shards 1`, which takes
-    // the plain sequential path.
-    let metro = if smoke {
-        MetroWorkload::smoke()
-    } else {
-        MetroWorkload::full()
-    };
-    let metro_trace = metro.trace();
-    let machine_workers = default_worker_count();
-    let mut shard_counts = vec![1usize, 2, 4];
-    if machine_workers >= 8 {
-        shard_counts.push(8);
-    }
-    println!(
-        "\nshard scaling (ours, metro): {} nodes / {:.0} h / {} contacts, {} cores available",
-        metro.nodes,
-        metro.hours,
-        metro_trace.len(),
-        machine_workers
-    );
-    let shard_curve: Vec<ShardTiming> = shard_counts
-        .iter()
-        .map(|&w| {
-            let t = time_shards(&metro, &metro_trace, w);
-            println!(
-                "{:>3} workers {:>14} ns  {:>10.0} events/s{}",
-                t.workers,
-                t.median_ns,
-                t.events_per_sec(),
-                if t.reported_workers == t.workers as u64 {
-                    String::new()
-                } else {
-                    format!("  (engine used {})", t.reported_workers)
-                }
-            );
-            t
-        })
-        .collect();
-
     // --emit-baseline FILE: plain "scheme median_ns" lines for an old
     // build to hand to a new one; deliberately not JSON so the old binary
     // needs no parser.
@@ -505,64 +357,9 @@ fn main() {
             if i + 1 < scaling.len() { "," } else { "" }
         ));
     }
-    json.push_str("    ]\n  },\n");
-    let sequential_min = shard_curve
-        .iter()
-        .find(|t| t.workers == 1)
-        .map_or(1, |t| t.min_ns)
-        .max(1);
-    json.push_str(&format!(
-        "  \"shard_scaling\": {{\n    \"scheme\": \"ours\",\n    \"machine_workers\": {},\n    \
-         \"workload\": {{ \"nodes\": {}, \"hours\": {}, \"grid\": {}, \"contacts\": {} }},\n    \
-         \"points\": [\n",
-        machine_workers,
-        metro.nodes,
-        metro.hours,
-        metro.grid,
-        metro_trace.len()
-    ));
-    for (i, t) in shard_curve.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{ \"workers\": {}, \"reported_workers\": {}, \"median_ns\": {}, \
-             \"min_ns\": {}, \"events_per_sec\": {:.1}, \"speedup_vs_sequential\": {:.3} }}{}\n",
-            t.workers,
-            t.reported_workers,
-            t.median_ns,
-            t.min_ns,
-            t.events_per_sec(),
-            sequential_min as f64 / t.min_ns as f64,
-            if i + 1 < shard_curve.len() { "," } else { "" }
-        ));
-    }
     json.push_str("    ]\n  }\n}\n");
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     eprintln!("bench_sim: wrote BENCH_sim.json");
-
-    // Parallel-speedup acceptance: >= 2.5x events/sec for ours with >= 4
-    // workers against the sequential path on the metro workload. Only
-    // armed when the machine can actually run 4 workers in parallel — on
-    // fewer cores the threads timeshare and the measurement would say
-    // nothing about the executor.
-    if !smoke {
-        if machine_workers >= 4 {
-            let best = shard_curve
-                .iter()
-                .filter(|t| t.workers >= 4)
-                .map(|t| sequential_min as f64 / t.min_ns as f64)
-                .fold(0.0f64, f64::max);
-            assert!(
-                best >= 2.5,
-                "acceptance: expected >= 2.5x events/sec for ours at >= 4 shard workers, \
-                 got {best:.2}x"
-            );
-            println!("shard acceptance: {best:.2}x at >= 4 workers (gate >= 2.5x)");
-        } else {
-            println!(
-                "shard acceptance: skipped — {machine_workers} core(s) available, \
-                 need >= 4 to demonstrate parallel speedup"
-            );
-        }
-    }
 
     if let Some(baseline) = &baseline {
         for t in &timings {

@@ -14,10 +14,6 @@
 //! *result* directories of a traced and an untraced invocation proves
 //! the tracing subsystem is a pure observer (CI does exactly that).
 //!
-//! With `--shards N` every cell runs through the sharded parallel
-//! executor. Diffing against an unsharded invocation's directory proves
-//! the cross-shard merge is byte-exact (CI does exactly that too).
-//!
 //! With `--resume-split HOURS` every cell runs **twice**: a first run
 //! that checkpoints and deterministically halts at the split time (its
 //! partial result is discarded), then a fresh simulation that resumes
@@ -116,11 +112,10 @@ fn build(scenario: &Scenario, config: &SimConfig, trace: &ContactTrace, seed: u6
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: dump_results OUTDIR [--scenario FILE] [--trace TRACEDIR] [--shards N] \
+    let usage = "usage: dump_results OUTDIR [--scenario FILE] [--trace TRACEDIR] \
                  [--resume-split HOURS]";
     let outdir = args.first().cloned().unwrap_or_else(|| panic!("{usage}"));
     let mut tracedir = None;
-    let mut shards = 1usize;
     let mut resume_split: Option<f64> = None;
     let mut scenario: Option<Scenario> = None;
     let mut it = args.iter().skip(1);
@@ -135,12 +130,6 @@ fn main() {
             "--trace" => {
                 tracedir = Some(it.next().cloned().unwrap_or_else(|| panic!("{usage}")));
             }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("{usage}"));
-            }
             "--resume-split" => {
                 resume_split = Some(
                     it.next()
@@ -153,14 +142,9 @@ fn main() {
         }
     }
     assert!(
-        !(shards > 1 && tracedir.is_some()),
-        "--shards and --trace are mutually exclusive: a trace sink forces \
-         the sequential path, so the sharded executor would not run"
-    );
-    assert!(
-        !(resume_split.is_some() && (shards > 1 || tracedir.is_some())),
-        "--resume-split is exclusive with --shards and --trace: the \
-         checkpointed halves run sequentially and untraced"
+        !(resume_split.is_some() && tracedir.is_some()),
+        "--resume-split is exclusive with --trace: the checkpointed halves \
+         run untraced"
     );
     std::fs::create_dir_all(&outdir).expect("create output directory");
     if let Some(dir) = &tracedir {
@@ -182,8 +166,7 @@ fn main() {
         let config = scenario
             .base
             .clone()
-            .with_faults(FaultConfig::chaos(intensity))
-            .with_shards(shards);
+            .with_faults(FaultConfig::chaos(intensity));
 
         for name in SCHEMES {
             let mut scheme = scheme_by_name(name);

@@ -177,6 +177,39 @@ pub fn try_scheme_by_name(name: &str) -> Option<Box<dyn Scheme + Send>> {
     })
 }
 
+/// Checks every name against the lineup.
+///
+/// # Errors
+///
+/// The first unknown name, prefixed with `context` (a spec path or a
+/// flag) and followed by the known names.
+pub fn validate_schemes(context: &str, names: &[String]) -> Result<(), String> {
+    for name in names {
+        if try_scheme_by_name(name).is_none() {
+            return Err(format!(
+                "{context}: unknown scheme {name:?} (known: {})",
+                ALL_SCHEME_NAMES.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A scenario's `[schemes] names` as lineup names: `["all"]` expands to
+/// [`ALL_SCHEME_NAMES`], any other list is checked with
+/// [`validate_schemes`].
+///
+/// # Errors
+///
+/// As [`validate_schemes`].
+pub fn resolve_schemes(context: &str, names: &[String]) -> Result<Vec<String>, String> {
+    if names == ["all"] {
+        return Ok(ALL_SCHEME_NAMES.iter().map(|s| (*s).to_string()).collect());
+    }
+    validate_schemes(context, names)?;
+    Ok(names.to_vec())
+}
+
 /// Instantiates a scheme by its lineup name.
 ///
 /// # Panics

@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use photodtn_bench::scheme_by_name;
+use photodtn_bench::{resolve_schemes, scheme_by_name, validate_schemes};
 use photodtn_coverage::fullview::{redundancy_degrees, FullViewReport};
 use photodtn_coverage::PhotoMeta;
 use photodtn_sim::{
@@ -33,7 +33,6 @@ const SPEC: Spec = Spec {
         "failures",
         "faults",
         "trace-out",
-        "shards",
         "checkpoint-every",
         "checkpoint-dir",
         "checkpoint-keep",
@@ -119,8 +118,10 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
     // The world: a declarative TOML scenario, or the world flags as
     // shorthand for one. The world flags would silently fight a
     // scenario file, so they are rejected outright next to --scenario;
-    // --scheme/--seed (and the run-mechanics flags: shards, checkpoints,
+    // --scheme/--seed (and the run-mechanics flags: checkpoints,
     // tracing) compose with either spelling.
+    // An unknown scheme name, in the file or in --scheme, is the same
+    // typed error `photodtn sweep` gives.
     let scenario = match flags.get("scenario") {
         Some(path) => {
             for name in WORLD_FLAGS {
@@ -131,11 +132,16 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
                 }
             }
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?
+            let mut scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+            scenario.schemes = resolve_schemes(path, &scenario.schemes)?;
+            scenario
         }
         None => scenario_from_flags(&flags)?,
     };
 
+    if let Some(name) = flags.get("scheme") {
+        validate_schemes("run --scheme", &[name.to_string()])?;
+    }
     let scheme_name = flags
         .get("scheme")
         .or(scenario.schemes.first().map(String::as_str))
@@ -146,15 +152,10 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         .build_trace(seed)
         .map_err(|e| format!("run: {}", e.message))?;
 
-    let mut config = scenario.base.clone();
+    let config = &scenario.base;
     // A chaos intensity k survives as the preset's interrupt probability
     // (0.5 × k); recover it for the summary line.
     let fault_intensity: f64 = config.faults.contact_interrupt_prob * 2.0;
-    // 0 auto-sizes to the machine's cores; 1 (the default) stays on the
-    // plain sequential path.
-    if flags.get("shards").is_some() {
-        config = config.with_shards(flags.num("shards", 1usize)?);
-    }
 
     // --- checkpoint / resume flag-compatibility matrix ---
     let resume_dir = flags.get("resume-from");
@@ -181,11 +182,8 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
 
     let mut scheme = scheme_by_name(scheme_name);
     let mut sim = scenario
-        .build_simulation(&config, &trace, seed)
+        .build_simulation(config, &trace, seed)
         .map_err(|e| format!("run: {e}"))?;
-    if !scenario.pois.phases.is_empty() && config.shards != 1 {
-        eprintln!("note: the PoI schedule forces the sequential path; --shards is ignored");
-    }
 
     // The fingerprint binds snapshots to this exact (config, trace,
     // seed, scheme) world; conflicting world flags on resume surface as
@@ -200,7 +198,7 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         None => describe_world(&flags, scheme_name, seed),
     };
     let fingerprint =
-        checkpoint::run_fingerprint(&config, &trace, seed, scheme_name) ^ scenario.fingerprint;
+        checkpoint::run_fingerprint(config, &trace, seed, scheme_name) ^ scenario.fingerprint;
 
     let resume_payload = match resume_dir {
         Some(dir) => {
@@ -229,9 +227,6 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         .with_sync(flags.has("trace-sync"));
         sim.set_trace_sink(Box::new(sink));
         eprintln!("tracing run events to {path}");
-        if config.shards != 1 {
-            eprintln!("note: tracing forces the sequential path; --shards is ignored");
-        }
     } else if flags.has("trace-sync") {
         return Err("run: --trace-sync requires --trace-out".into());
     }
@@ -247,9 +242,6 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         checkpoint::reset_stop();
         crate::signals::install_graceful_stop();
         eprintln!("checkpointing every {every} sim-seconds to {dir} (keep {keep})");
-        if config.shards != 1 && flags.get("trace-out").is_none() {
-            eprintln!("note: checkpointing forces the sequential path; --shards is ignored");
-        }
     }
 
     if let Some(payload) = resume_payload {
@@ -313,7 +305,6 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
             stats.ns_per_contact()
         );
         println!("  uploads        : {}", stats.uploads);
-        println!("  shard workers  : {}", stats.workers);
         println!(
             "  coverage cache : {} hits / {} misses ({:.1}% hit rate, {} evictions)",
             stats.cache.hits,
@@ -421,21 +412,30 @@ mod tests {
     }
 
     #[test]
-    fn metro_style_sharded_run() {
-        run(&argv(
-            "--scheme ours --style metro --nodes 300 --hours 1 --photos-per-hour 50 \
-             --shards 2 --seed 2 --json --perf",
-        ))
+    fn unknown_scheme_is_a_typed_error() {
+        let err = run(&argv("--scheme bogus --style mit --nodes 6 --hours 2")).unwrap_err();
+        assert!(err.contains("unknown scheme \"bogus\""), "{err}");
+
+        let dir = tmp_dir("bad-scheme");
+        let path = dir.join("world.toml");
+        std::fs::write(
+            &path,
+            "[scenario]\nversion = 1\n[world]\nstyle = \"mit\"\nnodes = 6\nhours = 2\n\
+             [schemes]\nnames = [\"ours\", \"bogus\"]\n",
+        )
         .unwrap();
+        let err = run(&["--scenario".into(), path.to_str().unwrap().into()]).unwrap_err();
+        assert!(
+            err.contains("world.toml") && err.contains("unknown scheme \"bogus\""),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn unknown_scheme_panics_cleanly() {
-        // scheme_by_name panics on unknown names; ensure the flag reaches it
-        let result = std::panic::catch_unwind(|| {
-            run(&argv("--scheme bogus --style mit --nodes 6 --hours 2"))
-        });
-        assert!(result.is_err());
+    fn shards_flag_is_unknown() {
+        let err = run(&argv("--style mit --nodes 6 --hours 2 --shards 2")).unwrap_err();
+        assert!(err.contains("unknown flag --shards"), "{err}");
     }
 
     #[test]
@@ -511,13 +511,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The `--shards` × `--checkpoint-dir`/`--resume-from` compatibility
-    /// matrix, as documented: every dependent checkpoint flag needs a
-    /// directory, resume and checkpoint directories must agree, and
-    /// shards compose with checkpointing (the engine falls back to the
-    /// sequential path with a stderr note rather than erroring).
+    /// The `--checkpoint-dir`/`--resume-from` compatibility matrix, as
+    /// documented: every dependent checkpoint flag needs a directory, and
+    /// resume and checkpoint directories must agree.
     #[test]
-    fn checkpoint_shards_flag_matrix() {
+    fn checkpoint_flag_matrix() {
         let dir = tmp_dir("flag-matrix");
         let ckpt = dir.join("ckpt");
         let ckpt = ckpt.to_str().unwrap();
@@ -541,26 +539,17 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("conflicts"), "{err}");
 
-        // Checkpointing alone, sharded checkpointing, and sharded
-        // checkpointing with every dependent flag: all accepted, and the
-        // sharded spellings produce the same world (sequential fallback).
+        // Checkpointing alone and with every dependent flag: accepted.
         for accepted in [
             format!("{world} --checkpoint-dir {ckpt}"),
-            format!("{world} --shards 2 --checkpoint-dir {ckpt}"),
-            format!("{world} --shards 2 --checkpoint-dir {ckpt} --checkpoint-every 600 --checkpoint-keep 2"),
+            format!("{world} --checkpoint-dir {ckpt} --checkpoint-every 600 --checkpoint-keep 2"),
         ] {
             assert_eq!(run(&argv(&accepted)).unwrap(), 0, "{accepted}");
         }
-        // Plain sharding without checkpoints still works.
-        assert_eq!(run(&argv(&format!("{world} --shards 2"))).unwrap(), 0);
-        // Resuming from the snapshots the accepted runs left behind,
-        // sharded and not, completes cleanly too.
-        for resumed in [
-            format!("{world} --resume-from {ckpt}"),
-            format!("{world} --shards 2 --resume-from {ckpt}"),
-        ] {
-            assert_eq!(run(&argv(&resumed)).unwrap(), 0, "{resumed}");
-        }
+        // Resuming from the snapshots the accepted runs left behind
+        // completes cleanly too.
+        let resumed = format!("{world} --resume-from {ckpt}");
+        assert_eq!(run(&argv(&resumed)).unwrap(), 0, "{resumed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

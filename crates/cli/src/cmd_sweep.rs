@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use photodtn_bench::{try_scheme_by_name, ALL_SCHEME_NAMES};
+use photodtn_bench::{resolve_schemes, try_scheme_by_name};
 use photodtn_sim::supervisor::journal;
 use photodtn_sim::{
     checkpoint, run_batch, BatchPolicy, BatchReport, CellError, CellFailure, CellId, CellState,
@@ -81,18 +81,6 @@ pub fn run(argv: &[String]) -> u8 {
     }
 }
 
-fn validate_schemes(spec_path: &str, schemes: &[String]) -> Result<(), String> {
-    for scheme in schemes {
-        if try_scheme_by_name(scheme).is_none() {
-            return Err(format!(
-                "{spec_path}: unknown scheme {scheme:?} (known: {})",
-                ALL_SCHEME_NAMES.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn execute(argv: &[String]) -> Result<u8, String> {
     let flags = Flags::parse(argv, &SPEC)?;
     let [spec_path] = flags.positionals() else {
@@ -106,10 +94,7 @@ fn execute(argv: &[String]) -> Result<u8, String> {
     let text =
         std::fs::read_to_string(spec_path).map_err(|e| format!("reading {spec_path}: {e}"))?;
     let mut scenario = Scenario::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-    if scenario.schemes == ["all"] {
-        scenario.schemes = ALL_SCHEME_NAMES.iter().map(|s| (*s).to_string()).collect();
-    }
-    validate_schemes(spec_path, &scenario.schemes)?;
+    scenario.schemes = resolve_schemes(spec_path, &scenario.schemes)?;
     let cells = scenario.cells();
 
     let journal_path: PathBuf = flags
@@ -345,6 +330,7 @@ pub(crate) fn failure_table(failures: &[&CellFailure], total_cells: usize) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use photodtn_bench::{validate_schemes, ALL_SCHEME_NAMES};
     use photodtn_sim::{FailureKind, MetricSample};
 
     fn argv(s: &str) -> Vec<String> {

@@ -92,8 +92,9 @@ USAGE:
       declarative TOML scenario (see examples/scenarios/) instead, and
       the world flags then conflict with it. --scheme and
       --seed still override the scenario's defaults, and the
-      run-mechanics flags (--shards, checkpoints, --trace-out)
-      compose as usual.
+      run-mechanics flags (checkpoints, --trace-out) compose as
+      usual. Every simulation runs on one thread; use `sweep
+      --workers N` to spread independent runs over cores.
       --report adds a full-view analysis of the delivered photos.
       --faults K enables deterministic fault injection at chaos
       intensity K in 0..=1 (contact interruptions, transfer loss and

@@ -96,23 +96,6 @@ impl RateMatrix {
         self.pair_counts.values().sum()
     }
 
-    /// Removes and returns node `a`'s contact-participation count.
-    ///
-    /// Together with [`add_node_count`](Self::add_node_count) this lets a
-    /// node's rate state migrate between estimator replicas (e.g. shard
-    /// handoffs) without disturbing any other node's `λ`.
-    pub fn take_node_count(&mut self, a: NodeId) -> u64 {
-        self.node_counts.remove(&a.0).unwrap_or(0)
-    }
-
-    /// Credits `count` contact participations to node `a` (the receiving
-    /// side of [`take_node_count`](Self::take_node_count)).
-    pub fn add_node_count(&mut self, a: NodeId, count: u64) {
-        if count > 0 {
-            *self.node_counts.entry(a.0).or_insert(0) += count;
-        }
-    }
-
     /// A canonical serializable snapshot of the estimator.
     ///
     /// The counts are flattened into *sorted* vectors: JSON maps need
@@ -185,26 +168,6 @@ mod tests {
         m.record(NodeId(0), NodeId(1), 50.0);
         assert_eq!(m.pair_rate(NodeId(0), NodeId(1), 50.0), 0.0);
         assert_eq!(m.node_rate(NodeId(0), 40.0), 0.0);
-    }
-
-    #[test]
-    fn node_count_handoff_preserves_rates() {
-        let mut src = RateMatrix::new(0.0);
-        src.record(NodeId(0), NodeId(1), 10.0);
-        src.record(NodeId(0), NodeId(2), 20.0);
-        let mut dst = RateMatrix::new(0.0);
-        dst.record(NodeId(0), NodeId(3), 30.0);
-        let moved = src.take_node_count(NodeId(0));
-        assert_eq!(moved, 2);
-        assert_eq!(src.node_rate(NodeId(0), 100.0), 0.0);
-        dst.add_node_count(NodeId(0), moved);
-        assert!((dst.node_rate(NodeId(0), 100.0) - 0.03).abs() < 1e-12);
-        // donor keeps every other node's count
-        assert!((src.node_rate(NodeId(1), 100.0) - 0.01).abs() < 1e-12);
-        // taking an unknown node is a zero-count no-op
-        assert_eq!(dst.take_node_count(NodeId(9)), 0);
-        dst.add_node_count(NodeId(9), 0);
-        assert_eq!(dst.node_rate(NodeId(9), 100.0), 0.0);
     }
 
     #[test]

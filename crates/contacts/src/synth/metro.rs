@@ -18,11 +18,12 @@ use crate::{ContactEvent, ContactTrace, NodeId};
 /// [`CommunityTraceGenerator`](super::CommunityTraceGenerator) (97 nodes,
 /// quadratic pair table) is not.
 ///
-/// The resulting traces keep the properties the sharded engine cares
-/// about: strong spatial community structure (intra-cell contacts
-/// dominate, so a region partition isolates most of the event stream)
-/// with a thin, tunable layer of cross-cell contacts through roamers (the
-/// boundary events a cross-shard merge must serialize).
+/// The resulting traces stand for *per-contact fixed cost*: thousands of
+/// peers and many short contacts that each carry few photos, so the event
+/// queue, PROPHET over every node, session set-up and metadata caches
+/// dominate a run rather than the selection itself. Spatial community
+/// structure stays strong (intra-cell contacts dominate) with a thin,
+/// tunable layer of cross-cell contacts through roamers.
 ///
 /// # Example
 ///

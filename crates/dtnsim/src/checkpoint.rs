@@ -26,7 +26,7 @@
 //! upload bases, the spatial grid — is deliberately rebuilt, not
 //! serialized (DESIGN.md decision #14): those structures carry
 //! byte-identity contracts ("cold caches must not influence results")
-//! that the shard and cache determinism suites already pin.
+//! that the cache determinism suites already pin.
 //!
 //! # On-disk format
 //!
@@ -297,13 +297,10 @@ pub struct CheckpointPayload {
 /// per invocation, not per snapshot.
 #[must_use]
 pub fn run_fingerprint(config: &SimConfig, trace: &ContactTrace, seed: u64, scheme: &str) -> u64 {
-    // Execution mechanics don't shape the simulated world — sharded,
-    // sequential, and differently-cached runs are byte-identical by
-    // contract — so they are normalized out and snapshots stay portable
-    // across them (e.g. `--shards 2 --checkpoint-dir D` then a plain
-    // `--resume-from D`).
+    // Cache sizing doesn't shape the simulated world — differently-cached
+    // runs are byte-identical by contract — so it is normalized out and
+    // snapshots stay portable across cache capacities.
     let mut config = config.clone();
-    config.shards = 1;
     config.coverage_cache_capacity = SimConfig::mit_default().coverage_cache_capacity;
     let config = &config;
     let config_json = serde_json::to_string(config).expect("SimConfig serialization is infallible");
@@ -536,11 +533,6 @@ pub(crate) fn capture(
     stats: &RunStats,
     world: &str,
 ) -> CheckpointPayload {
-    let prophet = ctx
-        .prophet
-        .live()
-        .expect("checkpointing forces the sequential path, whose PROPHET is live")
-        .clone();
     CheckpointPayload {
         next_event_idx: next_event_idx as u64,
         now: ctx.now,
@@ -549,7 +541,7 @@ pub(crate) fn capture(
         collections: ctx.collections.clone(),
         cc_received: ctx.cc_received.clone(),
         cc_profile: ctx.cc_profile.clone(),
-        prophet,
+        prophet: ctx.prophet.clone(),
         uploaded_bytes: ctx.uploaded_bytes,
         latency_sum: ctx.latency_sum,
         metadata_bytes: ctx.metadata_bytes,
@@ -743,12 +735,8 @@ mod tests {
             .generate(1);
         let base = SimConfig::mit_default();
         let fp = run_fingerprint(&base, &trace, 1, "ours");
-        // Sharding and cache sizing never change results, so snapshots
-        // written under one spelling must resume under another.
-        assert_eq!(
-            fp,
-            run_fingerprint(&base.clone().with_shards(4), &trace, 1, "ours")
-        );
+        // Cache sizing never changes results, so snapshots written under
+        // one capacity must resume under another.
         assert_eq!(
             fp,
             run_fingerprint(

@@ -82,24 +82,10 @@ pub struct SimConfig {
     /// exact RNG path of builds without this knob.
     #[serde(default)]
     pub camera_nodes: Option<u32>,
-    /// Number of spatial region shards to process events in parallel
-    /// with. `1` (the default) runs the plain sequential engine; `0`
-    /// auto-sizes to the machine
-    /// ([`default_worker_count`](crate::default_worker_count)); `>= 2`
-    /// partitions the node population by contact locality and executes
-    /// intra-shard events on worker threads, with a deterministic
-    /// cross-shard merge that keeps results byte-identical to the
-    /// sequential engine for the same seed.
-    #[serde(default = "default_shards")]
-    pub shards: usize,
 }
 
 fn default_coverage_cache_capacity() -> usize {
     photodtn_coverage::CoverageTableCache::DEFAULT_CAPACITY
-}
-
-fn default_shards() -> usize {
-    1
 }
 
 impl SimConfig {
@@ -128,7 +114,6 @@ impl SimConfig {
             faults: FaultConfig::default(),
             coverage_cache_capacity: default_coverage_cache_capacity(),
             camera_nodes: None,
-            shards: default_shards(),
         }
     }
 
@@ -202,14 +187,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_camera_nodes(mut self, n: u32) -> Self {
         self.camera_nodes = Some(n);
-        self
-    }
-
-    /// Sets the shard count (builder-style): `1` sequential, `0`
-    /// auto-sized, `>= 2` parallel with that many region shards.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 

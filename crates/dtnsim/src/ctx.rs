@@ -12,78 +12,7 @@ use photodtn_coverage::{
 use photodtn_prophet::ProphetRouter;
 
 use crate::faults::FaultState;
-use crate::shard::timeline::ProphetTimeline;
 use crate::trace::{TraceEvent, Tracer};
-
-/// How the context answers PROPHET queries.
-///
-/// The sequential engine owns a live [`ProphetRouter`] and updates it in
-/// event order. Shard replicas instead hold a read-only
-/// [`ProphetTimeline`] precomputed by a sequential pre-pass: PROPHET
-/// evolution depends only on the event schedule (never on scheme
-/// behavior), and schemes read third-party state exclusively through
-/// [`SimCtx::delivery_prob`], so replaying the schedule once up front
-/// eliminates every cross-shard read. Frozen handles make the in-run
-/// update calls no-ops — the pre-pass already performed them.
-#[derive(Debug)]
-pub(crate) enum ProphetHandle {
-    /// Sequential execution: the router is updated live.
-    Live(ProphetRouter),
-    /// Sharded execution: reads come from the precomputed timeline at
-    /// the current execution position.
-    Frozen {
-        /// The precomputed per-node entry timeline.
-        timeline: Arc<ProphetTimeline>,
-        /// Execution position of the event being processed (0 = before
-        /// the first event, i.e. warmup state).
-        pos: u32,
-    },
-}
-
-impl ProphetHandle {
-    /// Applies a contact to the live router; no-op when frozen (the
-    /// timeline pre-pass already replayed it).
-    pub(crate) fn contact(&mut self, a: NodeId, b: NodeId, now: f64) {
-        if let ProphetHandle::Live(router) = self {
-            router.contact(a, b, now);
-        }
-    }
-
-    /// Erases a node's table on the live router; no-op when frozen.
-    pub(crate) fn reset_node(&mut self, node: NodeId) {
-        if let ProphetHandle::Live(router) = self {
-            router.reset_node(node);
-        }
-    }
-
-    /// Moves a frozen handle to execution position `pos`; no-op when
-    /// live.
-    pub(crate) fn set_pos(&mut self, new_pos: u32) {
-        if let ProphetHandle::Frozen { pos, .. } = self {
-            *pos = new_pos;
-        }
-    }
-
-    /// The live router, for checkpoint capture.
-    ///
-    /// Checkpointing forces the sequential path (the shard dispatcher
-    /// refuses to engage when a checkpoint policy or resume payload is
-    /// set), so the handle is always live there; `None` for frozen shard
-    /// replicas.
-    pub(crate) fn live(&self) -> Option<&ProphetRouter> {
-        match self {
-            ProphetHandle::Live(router) => Some(router),
-            ProphetHandle::Frozen { .. } => None,
-        }
-    }
-
-    fn predictability(&self, from: NodeId, dest: NodeId, now: f64) -> f64 {
-        match self {
-            ProphetHandle::Live(router) => router.predictability(from, dest, now),
-            ProphetHandle::Frozen { timeline, pos } => timeline.delivery_prob(from, *pos, now),
-        }
-    }
-}
 
 /// The scheme-visible random source: a [`SmallRng`] that counts how many
 /// 64-bit words it has produced.
@@ -164,7 +93,7 @@ pub struct SimCtx {
     pub(crate) collections: Vec<PhotoCollection>,
     pub(crate) cc_received: PhotoCollection,
     pub(crate) cc_profile: CoverageProfile,
-    pub(crate) prophet: ProphetHandle,
+    pub(crate) prophet: ProphetRouter,
     pub(crate) cc_prophet_id: NodeId,
     pub(crate) gateways: Vec<NodeId>,
     pub(crate) rng: SchemeRng,

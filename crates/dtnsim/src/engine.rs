@@ -13,7 +13,7 @@ use photodtn_coverage::{
 use photodtn_prophet::ProphetRouter;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointPayload, CheckpointPolicy};
-use crate::ctx::{ProphetHandle, SchemeRng};
+use crate::ctx::SchemeRng;
 use crate::faults::{FaultPlan, FaultState};
 use crate::queue::{EventKind, EventQueue, ScheduledEvent};
 use crate::trace::{TraceEvent, TraceSink, Tracer};
@@ -68,18 +68,17 @@ impl std::error::Error for SimBuildError {}
 /// same world with the same scheme twice yields identical results.
 #[derive(Debug)]
 pub struct Simulation {
-    pub(crate) config: SimConfig,
-    pub(crate) events: EventQueue,
-    pub(crate) pois: Arc<PoiList>,
-    pub(crate) gateways: Vec<NodeId>,
-    pub(crate) num_participants: u32,
-    pub(crate) duration: f64,
-    pub(crate) seed: u64,
+    config: SimConfig,
+    events: EventQueue,
+    pois: Arc<PoiList>,
+    gateways: Vec<NodeId>,
+    num_participants: u32,
+    duration: f64,
+    seed: u64,
     /// Contacts replayed into PROPHET before the first event.
-    pub(crate) warmup_contacts: Vec<(NodeId, NodeId, f64)>,
+    warmup_contacts: Vec<(NodeId, NodeId, f64)>,
     /// Scheduled PoI importance phases `(time, list)`, ascending. Empty
-    /// for static worlds; non-empty forces the sequential path (shard
-    /// replicas never observe the global phase switch).
+    /// for static worlds.
     poi_schedule: Vec<(f64, Arc<PoiList>)>,
     /// Scheduled crash/reboot outages (empty when churn is disabled).
     fault_plan: FaultPlan,
@@ -320,10 +319,9 @@ impl Simulation {
     }
 
     /// Enables periodic checkpointing for later runs. Checkpointed runs
-    /// take the sequential path (the shard dispatcher refuses to engage,
-    /// exactly as it does for tracing), stop early at the next event
-    /// boundary when [`checkpoint::request_stop`] fires, and report that
-    /// via [`RunStats::interrupted`].
+    /// stop early at the next event boundary when
+    /// [`checkpoint::request_stop`] fires, and report that via
+    /// [`RunStats::interrupted`].
     pub fn set_checkpoints(&mut self, policy: CheckpointPolicy) {
         self.checkpoints = Some(policy);
     }
@@ -408,8 +406,7 @@ impl Simulation {
     /// is unchanged — only the per-PoI weighting moves.
     ///
     /// Phases at or past the run's end are dropped (they could never be
-    /// observed). Reweighted worlds always run sequentially; `--shards`
-    /// is ignored for them like it is for traced runs.
+    /// observed).
     ///
     /// # Panics
     ///
@@ -571,27 +568,7 @@ impl Simulation {
     ) -> (SimResult, PhotoCollection, RunStats) {
         let started = Instant::now();
         self.events.ensure_ordered();
-        // Sharded dispatch: byte-identical to the sequential path below
-        // for any fixed seed. Falls through when the scheme cannot fork
-        // shard replicas, tracing is attached (the trace stream is an
-        // inherently sequential observer), or checkpointing/resume is
-        // armed (snapshots are cut at global event boundaries, which
-        // shard replicas do not observe).
-        let shards = crate::shard::resolve_shard_count(self.config.shards, self.num_participants);
-        if shards >= 2
-            && self.trace_sink.is_none()
-            && self.checkpoints.is_none()
-            && self.resume.is_none()
-            && self.poi_schedule.is_empty()
-        {
-            if let Some(out) = crate::shard::run_sharded(self, scheme, shards, started) {
-                return out;
-            }
-        }
-        let mut stats = RunStats {
-            workers: 1,
-            ..RunStats::default()
-        };
+        let mut stats = RunStats::default();
         let cc_prophet_id = NodeId(self.num_participants);
         let mut ctx = SimCtx {
             pois: Arc::clone(&self.pois),
@@ -601,10 +578,7 @@ impl Simulation {
             collections: vec![PhotoCollection::new(); self.num_participants as usize],
             cc_received: PhotoCollection::new(),
             cc_profile: CoverageProfile::new(&self.pois, self.config.coverage),
-            prophet: ProphetHandle::Live(ProphetRouter::new(
-                self.num_participants + 1,
-                self.config.prophet,
-            )),
+            prophet: ProphetRouter::new(self.num_participants + 1, self.config.prophet),
             cc_prophet_id,
             gateways: self.gateways.clone(),
             rng: SchemeRng::seed_from_u64(self.seed ^ 0x5C4E_3E00_0000_0002),
@@ -654,7 +628,7 @@ impl Simulation {
             ctx.collections = p.collections;
             ctx.cc_received = p.cc_received;
             ctx.cc_profile = p.cc_profile;
-            ctx.prophet = ProphetHandle::Live(p.prophet);
+            ctx.prophet = p.prophet;
             ctx.now = p.now;
             ctx.uploaded_bytes = p.uploaded_bytes;
             ctx.latency_sum = p.latency_sum;
@@ -725,7 +699,7 @@ impl Simulation {
                 }
                 next_sample += self.config.sample_interval.max(1.0);
             }
-            process_event(&mut ctx, scheme, event, idx as u32 + 1, env, &mut stats);
+            process_event(&mut ctx, scheme, event, env, &mut stats);
         }
         if !interrupted {
             ctx.now = self.duration;
@@ -762,22 +736,21 @@ impl Simulation {
     }
 }
 
-/// The per-run scalars [`process_event`] needs from the config —
-/// `Copy`, so the sequential loop, the shard coordinator, and every
-/// shard worker can share one value without borrowing the config.
+/// The per-run scalars [`process_event`] needs from the config, read once
+/// per run instead of once per event.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct EventEnv {
-    pub(crate) bandwidth: u64,
-    pub(crate) wipe_routing_state: bool,
+struct EventEnv {
+    bandwidth: u64,
+    wipe_routing_state: bool,
     /// Cached `!config.faults.is_noop()`: per-event RNG rekeying happens
     /// only when some fault channel is live, so fault-free runs consume
     /// no randomness and stay bit-identical to builds without the
     /// injector.
-    pub(crate) faults_active: bool,
+    faults_active: bool,
 }
 
 impl EventEnv {
-    pub(crate) fn of(config: &SimConfig) -> Self {
+    fn of(config: &SimConfig) -> Self {
         EventEnv {
             bandwidth: config.bandwidth,
             wipe_routing_state: config.faults.wipe_routing_state,
@@ -786,20 +759,12 @@ impl EventEnv {
     }
 }
 
-/// Executes one scheduled event against `(ctx, scheme)` — the single
-/// definition of event semantics, shared verbatim by the sequential
-/// engine, the shard workers (intra-shard events), and the shard
-/// coordinator (boundary events), so sharded execution cannot drift from
-/// the sequential behavior.
-///
-/// `pos` is the event's execution position (its index in the ordered
-/// queue plus one; 0 is reserved for pre-run warmup state) — frozen
-/// PROPHET handles read the precomputed timeline at this position.
-pub(crate) fn process_event<S: Scheme + ?Sized>(
+/// Executes one scheduled event against `(ctx, scheme)`: the single
+/// definition of event semantics.
+fn process_event<S: Scheme + ?Sized>(
     ctx: &mut SimCtx,
     scheme: &mut S,
     event: &ScheduledEvent,
-    pos: u32,
     env: EventEnv,
     stats: &mut RunStats,
 ) {
@@ -807,7 +772,6 @@ pub(crate) fn process_event<S: Scheme + ?Sized>(
     if env.faults_active {
         ctx.faults.begin_event(event.seq);
     }
-    ctx.prophet.set_pos(pos);
     ctx.now = event.t;
     let t = event.t;
     let cc_prophet_id = ctx.cc_prophet_id;
@@ -1018,7 +982,7 @@ pub(crate) fn process_event<S: Scheme + ?Sized>(
     }
 }
 
-pub(crate) fn sample_of(ctx: &SimCtx, t: f64) -> MetricSample {
+fn sample_of(ctx: &SimCtx, t: f64) -> MetricSample {
     let total_weight = ctx.pois.total_weight().max(f64::MIN_POSITIVE);
     let cov = ctx.cc_coverage();
     let stats = ctx.faults.stats();
@@ -1335,20 +1299,6 @@ mod tests {
         let last_rw = rw.final_sample();
         assert_eq!(last_plain.delivered_photos, last_rw.delivered_photos);
         assert_ne!(last_plain.point_coverage, last_rw.point_coverage);
-    }
-
-    #[test]
-    fn reweight_forces_sequential_path_and_stays_deterministic() {
-        let trace = small_trace();
-        let config = small_config().with_shards(4);
-        let sim = |seed| {
-            let s = Simulation::new(&config, &trace, seed);
-            reweighted(s, &[(1, 9.0)], 5.0 * 3600.0)
-        };
-        let (r1, _, stats) = sim(2).run_instrumented(&mut FloodScheme);
-        assert_eq!(stats.workers, 1, "reweighted world must not shard");
-        let (r2, _, _) = sim(2).run_instrumented(&mut FloodScheme);
-        assert_eq!(r1, r2);
     }
 
     #[test]

@@ -274,17 +274,15 @@ impl FaultState {
     }
 
     /// Rekeys the coin-flip stream to one event, identified by its queue
-    /// push sequence number (unique per run, identical between sequential
-    /// and sharded execution because both consume the same materialized
-    /// queue).
+    /// push sequence number (unique per run and a pure function of the
+    /// schedule).
     ///
     /// The engine calls this at the top of every event *only when faults
     /// are active* (`!config.is_noop()`), so fault-free runs consume no
     /// randomness at all. With per-event keys, the draws an event makes
     /// depend only on `(base_seed, seq)` and the within-event draw order
-    /// — never on how many draws earlier events made — which is what lets
-    /// shard workers replay events out of global order and still produce
-    /// bit-identical fault decisions.
+    /// — never on how many draws earlier events made. This keying defines
+    /// the fault RNG stream, so every faulted result depends on it.
     pub(crate) fn begin_event(&mut self, seq: u64) {
         self.rng = SmallRng::seed_from_u64(splitmix64(
             self.base_seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),

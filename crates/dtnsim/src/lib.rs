@@ -50,7 +50,6 @@ mod queue;
 mod runner;
 pub mod scenario;
 pub mod schemes_api;
-mod shard;
 pub mod supervisor;
 pub mod trace;
 
@@ -62,10 +61,12 @@ pub use engine::{SimBuildError, Simulation};
 pub use faults::{FaultConfig, FaultPlan, FaultState, FaultStats};
 pub use metrics::{MetricSample, RunStats, SimResult};
 pub use photodtn_coverage::CacheStats;
-pub use runner::{run_averaged, try_run_averaged, AveragedError, AveragedSeries, SeedFailure};
+pub use runner::{
+    default_worker_count, run_averaged, try_run_averaged, AveragedError, AveragedSeries,
+    SeedFailure,
+};
 pub use scenario::{Scenario, WorldSource, WorldSpec};
 pub use schemes_api::Scheme;
-pub use shard::default_worker_count;
 pub use supervisor::{
     run_batch, BatchPolicy, BatchReport, CellError, CellFailure, CellId, CellState, FailureKind,
 };

@@ -95,9 +95,6 @@ pub struct RunStats {
     pub contacts: u64,
     /// Uplink-window events executed.
     pub uploads: u64,
-    /// Parallel shard workers the run used (1 = sequential path; sharded
-    /// dispatch fell back or was not requested).
-    pub workers: u64,
     /// Coverage-table cache counters of the run.
     pub cache: CacheStats,
     /// Whether the run stopped early at a checkpoint boundary (graceful

@@ -83,9 +83,8 @@ pub(crate) struct ScheduledEvent {
     pub(crate) t: f64,
     pub(crate) kind: EventKind,
     key: (u8, u32, u32),
-    /// Queue-wide push counter — unique per event and identical across
-    /// sequential and sharded execution (both consume the same
-    /// materialized queue), so it doubles as the per-event fault-RNG key.
+    /// Queue-wide push counter — unique per event and a pure function of
+    /// the schedule, so it doubles as the per-event fault-RNG key.
     pub(crate) seq: u64,
 }
 

@@ -9,6 +9,14 @@ use photodtn_contacts::ContactTrace;
 use crate::supervisor::{run_batch_scoped, FailureKind};
 use crate::{MetricSample, Scheme, SimConfig, SimResult, Simulation};
 
+/// The machine's available parallelism (1 if it cannot be determined) —
+/// the shared default worker count of the batch supervisor and
+/// [`run_averaged`].
+#[must_use]
+pub fn default_worker_count() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// A metric series averaged across seeds, aligned by sample index.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AveragedSeries {
@@ -92,13 +100,12 @@ impl std::error::Error for AveragedError {}
 /// Every run gets its own world (PoIs, gateways, photo schedule) derived
 /// from its seed, exactly like independent simulation runs in the paper.
 ///
-/// Parallelism is bounded: at most
-/// [`default_worker_count`](crate::default_worker_count) worker threads
-/// (one per available core) pull seeds from
-/// a shared queue, so a 50-seed sweep on a 4-core box runs 4 simulations
-/// at a time instead of oversubscribing with 50 threads. Results are
-/// collected in seed order regardless of completion order, so the
-/// averaged series is identical to a sequential run.
+/// Parallelism is bounded: at most [`default_worker_count`] worker
+/// threads (one per available core) pull seeds from a shared queue, so a
+/// 50-seed sweep on a 4-core box runs 4 simulations at a time instead
+/// of oversubscribing with 50 threads. Results are collected in seed
+/// order regardless of completion order, so the averaged series is
+/// identical to a sequential run.
 ///
 /// A panicking seed no longer poisons the pool: each seed runs under
 /// [`supervisor`](crate::supervisor) panic isolation, the other seeds

@@ -55,42 +55,17 @@ pub trait Scheme {
     /// avoid.
     fn on_node_crashed(&mut self, _ctx: &mut SimCtx, _node: NodeId) {}
 
-    /// Creates an independent replica of this scheme for one shard of a
-    /// parallel run ([`SimConfig::shards`](crate::SimConfig::shards)
-    /// ≥ 2), or `None` when the scheme cannot be sharded — the engine
-    /// then silently falls back to sequential execution, which is always
-    /// correct.
-    ///
-    /// A replica must behave exactly like a freshly constructed scheme
-    /// with the same configuration: configuration flags are copied,
-    /// protocol state starts empty, and pure memoization caches may
-    /// simply start cold (they must not influence results). During the
-    /// run each node's protocol state lives in exactly one replica at a
-    /// time and migrates through
-    /// [`export_node_state`](Self::export_node_state) /
-    /// [`import_node_state`](Self::import_node_state). Schemes with
-    /// internal state that cannot be decomposed per node this way must
-    /// return `None`.
+    /// Inert replica hook: no engine path calls it.
     fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
         None
     }
 
-    /// Removes and returns `node`'s protocol state for a shard handoff
-    /// (`None` when the scheme keeps no state for the node). The state is
-    /// *moved*: after this call the replica must behave as if it never
-    /// hosted the node.
+    /// Inert per-node state hook: no engine path calls it.
     fn export_node_state(&mut self, _node: NodeId) -> Option<Box<dyn Any + Send>> {
         None
     }
 
-    /// Installs `node`'s protocol state previously removed with
-    /// [`export_node_state`](Self::export_node_state) on another replica
-    /// of the same scheme.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when handed a state box of the wrong
-    /// concrete type (which would indicate an engine bug).
+    /// Inert per-node state hook: no engine path calls it.
     fn import_node_state(&mut self, _node: NodeId, _state: Box<dyn Any + Send>) {}
 
     /// Serializes the scheme's *entire* protocol state — every node's,
@@ -98,11 +73,10 @@ pub trait Scheme {
     /// the scheme does not support checkpointing (the default; the engine
     /// then warns once and disables snapshots for the run).
     ///
-    /// Unlike the per-node shard hooks above, the state crosses a process
-    /// boundary, so it must be a self-contained string (JSON by
-    /// convention), not a `Box<dyn Any>`. Only *serialize the state,
-    /// rebuild derived caches*: anything reconstructible from config or
-    /// world state (selection engines, memoized coverage, upload bases)
+    /// The state crosses a process boundary, so it must be a
+    /// self-contained string (JSON by convention). Only *serialize the
+    /// state, rebuild derived caches*: anything reconstructible from
+    /// config or world state (selection engines, memoized coverage, upload bases)
     /// must be left out and rebuilt lazily after
     /// [`import_global_state`](Self::import_global_state) — those caches
     /// carry byte-identity contracts that make the rebuild exact.
@@ -146,15 +120,6 @@ impl<T: Scheme + ?Sized> Scheme for Box<T> {
     }
     fn on_node_crashed(&mut self, ctx: &mut SimCtx, node: NodeId) {
         (**self).on_node_crashed(ctx, node);
-    }
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        (**self).fork_shard()
-    }
-    fn export_node_state(&mut self, node: NodeId) -> Option<Box<dyn Any + Send>> {
-        (**self).export_node_state(node)
-    }
-    fn import_node_state(&mut self, node: NodeId, state: Box<dyn Any + Send>) {
-        (**self).import_node_state(node, state);
     }
     fn export_global_state(&self) -> Option<String> {
         (**self).export_global_state()
@@ -212,11 +177,6 @@ impl Scheme for FloodScheme {
             ctx.upload_photo(p);
         }
         ctx.note_upload_bytes(bytes);
-    }
-
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Stateless: every replica is the scheme.
-        Some(Box::new(FloodScheme))
     }
 
     fn export_global_state(&self) -> Option<String> {

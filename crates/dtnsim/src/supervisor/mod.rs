@@ -223,7 +223,7 @@ impl Default for BatchPolicy {
 impl BatchPolicy {
     fn effective_workers(&self, cells: usize) -> usize {
         let configured = if self.workers == 0 {
-            crate::shard::default_worker_count()
+            crate::default_worker_count()
         } else {
             self.workers
         };
@@ -593,7 +593,7 @@ where
         return Vec::new();
     }
     let workers = if workers == 0 {
-        crate::shard::default_worker_count()
+        crate::default_worker_count()
     } else {
         workers
     }

@@ -3,7 +3,7 @@
 //! the hand-built preset, for every scheme and fault intensity; and the
 //! scenario-only worlds (stationary relays, scheduled PoI importance)
 //! must run end-to-end under the full lineup, repeat exactly, and
-//! compose with sharding and mid-run checkpoint/restore.
+//! compose with mid-run checkpoint/restore.
 
 use photodtn_contacts::synth::{CommunityTraceGenerator, TraceStyle};
 use photodtn_contacts::ContactTrace;
@@ -149,29 +149,6 @@ fn scheduled_world_runs_and_repeats_under_every_scheme() {
                 .run(&mut b);
             assert_eq!(r1, r2, "{name} at intensity {intensity} diverged");
         }
-    }
-}
-
-/// Scenarios compose with `--shards`: a static scenario world run through
-/// the sharded executor is byte-identical to its sequential run.
-#[test]
-fn scenario_composes_with_shards() {
-    let sc = matrix_scenario(0.5);
-    let trace = sc.world.build_trace(sc.seed).unwrap();
-    let sharded_config = sc.base.clone().with_shards(2);
-    for (first, second) in lineup().into_iter().zip(lineup()) {
-        let name = first.name();
-        let mut a = first;
-        let mut b = second;
-        let sequential = sc
-            .build_simulation(&sc.base, &trace, sc.seed)
-            .unwrap()
-            .run(&mut a);
-        let sharded = sc
-            .build_simulation(&sharded_config, &trace, sc.seed)
-            .unwrap()
-            .run(&mut b);
-        assert_eq!(sharded, sequential, "{name}: sharded scenario diverged");
     }
 }
 

@@ -147,21 +147,6 @@ impl ProphetTable {
         e.last_aged = now;
     }
 
-    /// The *raw* `(p, last_aged)` entry towards `dest`, un-aged (`None`
-    /// if unknown).
-    ///
-    /// This exposes the exact stored state so callers can snapshot a
-    /// table row and later reproduce [`predictability`] bit-for-bit via
-    /// [`aged_value`] — recording the aged value instead would compose
-    /// two `powf` calls (`γ^x·γ^y ≠ γ^(x+y)` in floating point) and
-    /// break byte-identical replay.
-    ///
-    /// [`predictability`]: Self::predictability
-    #[must_use]
-    pub fn entry(&self, dest: NodeId) -> Option<(f64, f64)> {
-        self.entries.get(&dest.0).map(|e| (e.p, e.last_aged))
-    }
-
     /// Applies the transitivity rule using the peer's table at `now`.
     pub fn transitive(
         &mut self,
@@ -195,17 +180,8 @@ impl ProphetTable {
 }
 
 fn aged(e: &Entry, now: f64, params: &ProphetParams) -> f64 {
-    aged_value(e.p, e.last_aged, now, params)
-}
-
-/// Ages a raw `(p, last_aged)` entry (e.g. from [`ProphetTable::entry`])
-/// to time `now` — the single definition of the aging arithmetic, so
-/// external replays of snapshotted entries are bit-identical to
-/// [`ProphetTable::predictability`].
-#[must_use]
-pub fn aged_value(p: f64, last_aged: f64, now: f64, params: &ProphetParams) -> f64 {
-    let elapsed = (now - last_aged).max(0.0);
-    p * params.gamma.powf(elapsed / params.time_unit)
+    let elapsed = (now - e.last_aged).max(0.0);
+    e.p * params.gamma.powf(elapsed / params.time_unit)
 }
 
 /// Predictability state for a whole network: one [`ProphetTable`] per node,
@@ -444,26 +420,6 @@ mod tests {
         // 2 heard about 0 via transitivity through 1
         assert!(r.predictability(NodeId(2), NodeId(0), 100.0) > 0.0);
         assert_eq!(r.num_nodes(), 3);
-    }
-
-    #[test]
-    fn raw_entry_plus_aged_value_reproduces_predictability() {
-        let mut r = ProphetRouter::new(3, params());
-        for k in 0..7 {
-            r.contact(NodeId(0), NodeId(2), f64::from(k) * 900.0);
-            r.contact(NodeId(1), NodeId(0), f64::from(k) * 900.0 + 17.0);
-        }
-        for node in [NodeId(0), NodeId(1)] {
-            let (p, last_aged) = r.table(node).entry(NodeId(2)).expect("entry exists");
-            for now in [6300.0, 7200.0, 99_999.0] {
-                let live = r.predictability(node, NodeId(2), now);
-                let replay = aged_value(p, last_aged, now, &params());
-                assert!(live.to_bits() == replay.to_bits(), "{node} at {now}");
-            }
-        }
-        assert!(r.table(NodeId(2)).entry(NodeId(1)).is_some());
-        assert!(r.table(NodeId(0)).entry(NodeId(1)).is_some());
-        assert_eq!(ProphetTable::new().entry(NodeId(0)), None);
     }
 
     #[test]

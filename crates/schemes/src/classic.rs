@@ -83,11 +83,6 @@ impl Scheme for Epidemic {
         ctx.note_upload_bytes(bytes);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Stateless: every replica is the scheme.
-        Some(Box::new(Epidemic))
-    }
-
     fn export_global_state(&self) -> Option<String> {
         // Stateless: the photo collections the engine checkpoints are the
         // protocol's entire state.
@@ -149,11 +144,6 @@ impl Scheme for DirectDelivery {
             bytes += photo.size;
         }
         ctx.note_upload_bytes(bytes);
-    }
-
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Stateless: every replica is the scheme.
-        Some(Box::new(DirectDelivery))
     }
 
     fn export_global_state(&self) -> Option<String> {

@@ -151,13 +151,6 @@ impl Scheme for CentralizedOracle {
         ctx.note_upload_bytes(bytes);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // The server base and value cache only ever mutate during uplink
-        // windows, which are boundary events executed at the coordinator —
-        // a replica's copies stay untouched, so fresh ones suffice.
-        Some(Box::new(CentralizedOracle::new()))
-    }
-
     fn export_global_state(&self) -> Option<String> {
         // Fully derived: the value cache is pure memoization, and
         // `UploadBase::prepare` rebuilds the server base from the

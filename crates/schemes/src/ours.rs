@@ -1,4 +1,3 @@
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -131,8 +130,8 @@ impl OurScheme {
         let cc = ctx.command_center_id();
         // peer id -> (snapshot time, (id, meta) records). Ordered map so
         // the node set M reaches selection in the same (ascending peer)
-        // order on every replica — the selection's f64 accumulation order
-        // is part of the byte-identical determinism contract.
+        // order on every run — the selection's f64 accumulation order is
+        // part of the byte-identical determinism contract.
         let mut merged: BTreeMap<u32, (f64, Vec<(PhotoId, PhotoMeta)>)> = BTreeMap::new();
         for endpoint in [a, b] {
             let Some(cache) = self.caches.get(&endpoint.0) else {
@@ -395,35 +394,6 @@ impl Scheme for OurScheme {
         self.caches.remove(&node.0);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Copy the configuration knobs; everything else (caches, rates,
-        // session, upload base, value memoization) is per-node state that
-        // migrates through export/import, or pure per-replica caches.
-        Some(Box::new(OurScheme {
-            use_metadata: self.use_metadata,
-            relay_acks: self.relay_acks,
-            validity: self.validity,
-            ..OurScheme::new()
-        }))
-    }
-
-    fn export_node_state(&mut self, node: NodeId) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(OursNodeState {
-            cache: self.caches.remove(&node.0),
-            contact_count: self.rates.take_node_count(node),
-        }))
-    }
-
-    fn import_node_state(&mut self, node: NodeId, state: Box<dyn Any + Send>) {
-        let state = state
-            .downcast::<OursNodeState>()
-            .expect("ours replica handed foreign node state");
-        if let Some(cache) = state.cache {
-            self.caches.insert(node.0, cache);
-        }
-        self.rates.add_node_count(node, state.contact_count);
-    }
-
     fn export_global_state(&self) -> Option<String> {
         // Persistent protocol state only: every node's metadata cache and
         // the λ estimator. The selection session, upload base, and photo-
@@ -456,20 +426,6 @@ impl Scheme for OurScheme {
 struct OursGlobalState {
     caches: HashMap<u32, photodtn_core::MetadataCache>,
     rates: photodtn_contacts::RateMatrixSnapshot,
-}
-
-/// One node's migratable protocol state: its metadata cache and its
-/// contact-participation count (the numerator of its `λ` estimate).
-///
-/// The pairwise counts of [`RateMatrix`] do not migrate: the simulator
-/// path reads only per-node rates
-/// ([`node_rate`](RateMatrix::node_rate) in
-/// [`OurScheme::exchange_metadata`]), and those are kept exact by moving
-/// the node counts alone.
-#[derive(Debug)]
-struct OursNodeState {
-    cache: Option<MetadataCache>,
-    contact_count: u64,
 }
 
 #[cfg(test)]

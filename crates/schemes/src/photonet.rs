@@ -161,11 +161,6 @@ impl Scheme for PhotoNet {
         ctx.note_upload_bytes(bytes);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Pure configuration — the scoring weights are the whole state.
-        Some(Box::new(self.clone()))
-    }
-
     fn export_global_state(&self) -> Option<String> {
         // Pure configuration: the scoring weights come from the
         // constructor, not the run, so there is nothing to snapshot.

@@ -91,12 +91,6 @@ impl Scheme for ProphetRouting {
         ctx.note_upload_bytes(bytes);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        // Stateless: all routing state lives in the engine's PROPHET
-        // tables, which replicas read through the frozen timeline.
-        Some(Box::new(ProphetRouting))
-    }
-
     fn export_global_state(&self) -> Option<String> {
         // Stateless: the PROPHET tables this router consults belong to
         // the engine, which checkpoints them itself.

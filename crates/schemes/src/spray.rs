@@ -1,4 +1,3 @@
-use std::any::Any;
 use std::collections::HashMap;
 
 use photodtn_contacts::NodeId;
@@ -168,26 +167,6 @@ impl Scheme for SprayAndWait {
         self.copies.retain(|&(n, _), _| n != node.0);
     }
 
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        Some(Box::new(SprayAndWait {
-            copies: HashMap::new(),
-            generation_policy: self.generation_policy,
-            receive_policy: self.receive_policy,
-            values: PhotoValueCache::new(),
-        }))
-    }
-
-    fn export_node_state(&mut self, node: NodeId) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(drain_copies(&mut self.copies, node)))
-    }
-
-    fn import_node_state(&mut self, node: NodeId, state: Box<dyn Any + Send>) {
-        let state = state
-            .downcast::<SprayNodeState>()
-            .expect("spray replica handed foreign node state");
-        install_copies(&mut self.copies, node, *state);
-    }
-
     fn export_global_state(&self) -> Option<String> {
         export_spray_copies(&self.copies)
     }
@@ -224,27 +203,6 @@ fn import_spray_copies(state: &str) -> Result<HashMap<(u32, u64), u32>, String> 
         .into_iter()
         .map(|(node, photo, c)| ((node, photo), c))
         .collect())
-}
-
-/// One node's migratable spray state: its `(photo, copies)` counters.
-/// Extraction order comes from a `HashMap` scan and is nondeterministic,
-/// but installation re-inserts into a map, so the order never observes.
-type SprayNodeState = Vec<(u64, u32)>;
-
-fn drain_copies(copies: &mut HashMap<(u32, u64), u32>, node: NodeId) -> SprayNodeState {
-    let drained: SprayNodeState = copies
-        .iter()
-        .filter(|(&(n, _), _)| n == node.0)
-        .map(|(&(_, photo), &c)| (photo, c))
-        .collect();
-    copies.retain(|&(n, _), _| n != node.0);
-    drained
-}
-
-fn install_copies(copies: &mut HashMap<(u32, u64), u32>, node: NodeId, state: SprayNodeState) {
-    for (photo, c) in state {
-        copies.insert((node.0, photo), c);
-    }
 }
 
 /// Spray&Wait with coverage-aware prioritization (§V-B *ModifiedSpray*):
@@ -385,21 +343,6 @@ impl Scheme for ModifiedSpray {
 
     fn on_node_crashed(&mut self, _ctx: &mut SimCtx, node: NodeId) {
         self.copies.retain(|&(n, _), _| n != node.0);
-    }
-
-    fn fork_shard(&self) -> Option<Box<dyn Scheme + Send>> {
-        Some(Box::new(ModifiedSpray::new()))
-    }
-
-    fn export_node_state(&mut self, node: NodeId) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(drain_copies(&mut self.copies, node)))
-    }
-
-    fn import_node_state(&mut self, node: NodeId, state: Box<dyn Any + Send>) {
-        let state = state
-            .downcast::<SprayNodeState>()
-            .expect("modified-spray replica handed foreign node state");
-        install_copies(&mut self.copies, node, *state);
     }
 
     fn export_global_state(&self) -> Option<String> {
