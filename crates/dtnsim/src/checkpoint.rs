@@ -59,8 +59,9 @@ use crate::supervisor::journal;
 use crate::{MetricSample, RunStats, Scheme, SimConfig, SimCtx};
 
 /// Snapshot format version; bumped on any layout change so old readers
-/// reject new files (and vice versa) with a typed error.
-pub const FORMAT_VERSION: u64 = 1;
+/// reject new files (and vice versa) with a typed error. Version 2 stores
+/// each PROPHET table as a list sorted by destination.
+pub const FORMAT_VERSION: u64 = 2;
 
 const MAGIC: &str = "photodtn-ckpt";
 
@@ -811,10 +812,36 @@ mod tests {
         let dir = tmp("version");
         let path = save(&dir, 1, &payload(), 3).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replacen("v1", "v2", 1)).unwrap();
+        let current = format!("{MAGIC} v{FORMAT_VERSION} ");
+        assert!(text.starts_with(&current));
+        let future = FORMAT_VERSION + 1;
+        std::fs::write(
+            &path,
+            text.replacen(&current, &format!("{MAGIC} v{future} "), 1),
+        )
+        .unwrap();
         assert!(matches!(
             load_file(&path, Some(1)),
-            Err(CheckpointError::UnsupportedVersion { version: 2, .. })
+            Err(CheckpointError::UnsupportedVersion { version, .. }) if version == future
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v1_snapshot_is_rejected_cleanly() {
+        // Version 1 stored PROPHET tables as maps keyed by destination;
+        // such a file must fail on its header, before any JSON decoding.
+        let dir = tmp("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt-000000000042.snap");
+        let json = r#"{"prophet":{"tables":[{"entries":{"1":{"p":0.75,"last_aged":0.0}}}]}}"#;
+        let crc = journal::fingerprint(json);
+        let len = json.len();
+        let text = format!("{MAGIC} v1 fp=0000000000000001 crc={crc:016x} len={len}\n{json}\n");
+        std::fs::write(&path, text).unwrap();
+        assert!(matches!(
+            load_file(&path, Some(1)),
+            Err(CheckpointError::UnsupportedVersion { version: 1, .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -328,8 +328,9 @@ impl Simulation {
 
     /// Arms the next run to continue from `payload` instead of from
     /// time 0. Only shape is validated here (node counts, event index,
-    /// scheme name); content integrity was already established by the
-    /// loader's checksum, and world identity by the fingerprint.
+    /// scheme name, well-formed PROPHET tables); content integrity was
+    /// already established by the loader's checksum, and world identity
+    /// by the fingerprint.
     ///
     /// # Errors
     ///
@@ -375,6 +376,9 @@ impl Simulation {
                 payload.prophet.num_nodes(),
                 self.num_participants + 1
             )));
+        }
+        if let Err(e) = payload.prophet.validate() {
+            return Err(shape_err(format!("snapshot PROPHET state: {e}")));
         }
         self.resume = Some(payload);
         Ok(())

@@ -10,8 +10,9 @@
 //! 2. **Aging** — `P(a,b) ← P(a,b) · γ^k`, where `k` is the number of
 //!    elapsed time units since the entry was last aged;
 //! 3. **Transitivity** — when `a` meets `b`:
-//!    `P(a,c) ← max(P(a,c), P(a,b) · P(b,c) · β)` for every `c` in `b`'s
-//!    table.
+//!    `P(a,c) ← max(P(a,c), P(a,b) · P(b,c) · β)` for every `c ≠ a` in
+//!    `b`'s table (RFC 6693 §2.1.2), using `b`'s table as it was before
+//!    this contact's transitivity step.
 //!
 //! Table I of the paper fixes `(P_init, β, γ) = (0.75, 0.25, 0.98)`.
 //! The aging time unit is not stated in the paper; we default to one hour,
@@ -35,8 +36,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -96,14 +95,17 @@ impl Default for ProphetParams {
 }
 
 /// One node's predictability table: `P(self, dest)` for every destination
-/// it has (directly or transitively) learned about.
+/// it has (directly or transitively) learned about, kept as a list sorted
+/// by destination. The owner never appears in its own table, so
+/// `P(a,a)` reads 0.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ProphetTable {
-    entries: HashMap<u32, Entry>,
+    entries: Vec<Entry>,
 }
 
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 struct Entry {
+    dest: u32,
     p: f64,
     last_aged: f64,
 }
@@ -115,13 +117,16 @@ impl ProphetTable {
         ProphetTable::default()
     }
 
+    fn find(&self, dest: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&dest, |e| e.dest)
+    }
+
     /// The aged predictability towards `dest` at time `now` (0 if
     /// unknown). Does not mutate the table — aging is applied lazily.
     #[must_use]
     pub fn predictability(&self, dest: NodeId, now: f64, params: &ProphetParams) -> f64 {
-        self.entries
-            .get(&dest.0)
-            .map_or(0.0, |e| aged(e, now, params))
+        self.find(dest.0)
+            .map_or(0.0, |i| aged(&self.entries[i], now, params))
     }
 
     /// Number of known destinations.
@@ -138,50 +143,142 @@ impl ProphetTable {
 
     /// Applies the encounter rule for a meeting with `peer` at `now`.
     pub fn encounter(&mut self, peer: NodeId, now: f64, params: &ProphetParams) {
-        let e = self.entries.entry(peer.0).or_insert(Entry {
-            p: 0.0,
-            last_aged: now,
+        let i = self.find(peer.0).unwrap_or_else(|i| {
+            let fresh = Entry {
+                dest: peer.0,
+                p: 0.0,
+                last_aged: now,
+            };
+            self.entries.insert(i, fresh);
+            i
         });
+        let e = &mut self.entries[i];
         let p = aged(e, now, params);
         e.p = p + (1.0 - p) * params.p_init;
         e.last_aged = now;
-    }
-
-    /// Applies the transitivity rule using the peer's table at `now`.
-    pub fn transitive(
-        &mut self,
-        peer: NodeId,
-        peer_table: &ProphetTable,
-        now: f64,
-        params: &ProphetParams,
-    ) {
-        let p_ab = self.predictability(peer, now, params);
-        if p_ab <= 0.0 {
-            return;
-        }
-        for (&dest, peer_entry) in &peer_table.entries {
-            if dest == peer.0 {
-                continue;
-            }
-            let p_bc = aged(peer_entry, now, params);
-            let candidate = p_ab * p_bc * params.beta;
-            if candidate <= 0.0 {
-                continue;
-            }
-            let e = self.entries.entry(dest).or_insert(Entry {
-                p: 0.0,
-                last_aged: now,
-            });
-            let current = aged(e, now, params);
-            e.p = current.max(candidate);
-            e.last_aged = now;
-        }
     }
 }
 
 fn aged(e: &Entry, now: f64, params: &ProphetParams) -> f64 {
     let elapsed = (now - e.last_aged).max(0.0);
     e.p * params.gamma.powf(elapsed / params.time_unit)
+}
+
+/// [`aged`] for many entries at one `now`, with `powf` skipped only where
+/// its result is known: `γ^0` is exactly 1, and `powf` is a pure function,
+/// so an elapsed time equal to the previous one reuses its factor.
+struct Decay<'a> {
+    now: f64,
+    params: &'a ProphetParams,
+    elapsed: f64,
+    factor: f64,
+}
+
+impl<'a> Decay<'a> {
+    fn new(now: f64, params: &'a ProphetParams) -> Self {
+        Decay {
+            now,
+            params,
+            elapsed: 0.0,
+            factor: 1.0,
+        }
+    }
+
+    fn aged(&mut self, e: &Entry) -> f64 {
+        let elapsed = (self.now - e.last_aged).max(0.0);
+        if elapsed == 0.0 {
+            return e.p; // p · γ^0 = p · 1.0 = p
+        }
+        if elapsed != self.elapsed {
+            self.elapsed = elapsed;
+            self.factor = self.params.gamma.powf(elapsed / self.params.time_unit);
+        }
+        e.p * self.factor
+    }
+}
+
+/// The transitivity rule for both sides of an `a`–`b` contact at `now`:
+/// one merge over the two post-encounter tables that builds both new
+/// tables. It reads only the old tables, so each side sees the other's
+/// table as it was before the exchange.
+///
+/// For every destination `c` other than `a` and `b`, each side's entry
+/// is raised to `max(P(x,c), P(x,y) · P(y,c) · β)` and re-stamped `now`
+/// when that candidate is positive; every other entry is kept as it is.
+/// `c = y` is the peer (its own table holds no entry for it) and `c = x`
+/// would be the self-entry, which RFC 6693 leaves out.
+fn exchange(
+    ta: &ProphetTable,
+    a: u32,
+    tb: &ProphetTable,
+    b: u32,
+    now: f64,
+    params: &ProphetParams,
+) -> (Vec<Entry>, Vec<Entry>) {
+    let (xa, xb) = (&ta.entries, &tb.entries);
+    let p_ab = ta.predictability(NodeId(b), now, params);
+    let p_ba = tb.predictability(NodeId(a), now, params);
+    let (mut age_a, mut age_b) = (Decay::new(now, params), Decay::new(now, params));
+    // The candidate through a peer reached with `p_peer` whose aged entry
+    // for the destination is `p_theirs`.
+    let via =
+        |p_peer: f64, p_theirs: Option<f64>| p_theirs.map_or(0.0, |p| p_peer * p * params.beta);
+    let union = union_len(xa, xb);
+    let (mut na, mut nb) = (Vec::with_capacity(union), Vec::with_capacity(union));
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (dest, ea, eb) = match (xa.get(i), xb.get(j)) {
+            (None, None) => break,
+            (Some(x), Some(y)) if x.dest == y.dest => (x.dest, Some(x), Some(y)),
+            (Some(x), Some(y)) if x.dest < y.dest => (x.dest, Some(x), None),
+            (Some(x), None) => (x.dest, Some(x), None),
+            (_, Some(y)) => (y.dest, None, Some(y)),
+        };
+        i += usize::from(ea.is_some());
+        j += usize::from(eb.is_some());
+        if dest == a || dest == b {
+            na.extend(ea);
+            nb.extend(eb);
+            continue;
+        }
+        let pa = ea.map(|e| age_a.aged(e));
+        let pb = eb.map(|e| age_b.aged(e));
+        na.extend(raised(dest, ea, pa, via(p_ab, pb), now));
+        nb.extend(raised(dest, eb, pb, via(p_ba, pa), now));
+    }
+    (na, nb)
+}
+
+/// One side's entry for `dest` after transitivity: `mine` (aged to
+/// `p_mine`) raised to `candidate`, the value through the peer.
+fn raised(
+    dest: u32,
+    mine: Option<&Entry>,
+    p_mine: Option<f64>,
+    candidate: f64,
+    now: f64,
+) -> Option<Entry> {
+    if candidate > 0.0 {
+        Some(Entry {
+            dest,
+            p: p_mine.unwrap_or(0.0).max(candidate),
+            last_aged: now,
+        })
+    } else {
+        mine.copied()
+    }
+}
+
+/// Number of distinct destinations in two sorted tables.
+fn union_len(x: &[Entry], y: &[Entry]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < x.len() && j < y.len() {
+        let (u, v) = (x[i].dest, y[j].dest);
+        i += usize::from(u <= v);
+        j += usize::from(v <= u);
+        n += 1;
+    }
+    n + (x.len() - i) + (y.len() - j)
 }
 
 /// Predictability state for a whole network: one [`ProphetTable`] per node,
@@ -219,21 +316,53 @@ impl ProphetRouter {
         self.tables.len() as u32
     }
 
+    /// Checks a deserialized router: valid parameters, and every table
+    /// sorted by destination without repeats, naming only nodes of this
+    /// router other than its owner.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        self.params.validate()?;
+        let n = self.num_nodes();
+        for (owner, table) in (0..n).zip(&self.tables) {
+            let sorted = table.entries.windows(2).all(|w| w[0].dest < w[1].dest);
+            let in_range = table.entries.iter().all(|e| e.dest < n && e.dest != owner);
+            if !(sorted && in_range) {
+                return Err(format!(
+                    "table of node {owner} is not a sorted list of other nodes below {n}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Processes a contact between `a` and `b` at time `now`: encounter
-    /// updates on both sides, then a mutual transitivity exchange.
+    /// updates on both sides, then a mutual transitivity exchange in which
+    /// each side uses the other's post-encounter table.
     ///
     /// # Panics
     ///
-    /// Panics if either node id is out of range.
+    /// Panics if either node id is out of range, or if `a == b`.
     pub fn contact(&mut self, a: NodeId, b: NodeId, now: f64) {
-        assert!(a.index() < self.tables.len() && b.index() < self.tables.len());
+        let n = self.tables.len();
+        assert!(
+            a != b && a.index() < n && b.index() < n,
+            "contact({a}, {b}) needs two distinct nodes below {n}"
+        );
         self.tables[a.index()].encounter(b, now, &self.params);
         self.tables[b.index()].encounter(a, now, &self.params);
-        // transitivity uses snapshots of the post-encounter tables
-        let ta = self.tables[a.index()].clone();
-        let tb = self.tables[b.index()].clone();
-        self.tables[a.index()].transitive(b, &tb, now, &self.params);
-        self.tables[b.index()].transitive(a, &ta, now, &self.params);
+        let (ta, tb) = exchange(
+            &self.tables[a.index()],
+            a.0,
+            &self.tables[b.index()],
+            b.0,
+            now,
+            &self.params,
+        );
+        self.tables[a.index()].entries = ta;
+        self.tables[b.index()].entries = tb;
     }
 
     /// Replays a whole trace (contacts applied at their start times).
@@ -420,6 +549,47 @@ mod tests {
         // 2 heard about 0 via transitivity through 1
         assert!(r.predictability(NodeId(2), NodeId(0), 100.0) > 0.0);
         assert_eq!(r.num_nodes(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct nodes")]
+    fn self_contact_panics() {
+        let mut r = ProphetRouter::new(3, params());
+        r.contact(NodeId(1), NodeId(1), 0.0);
+    }
+
+    #[test]
+    fn tables_stay_sorted_without_self_entries() {
+        let mut r = ProphetRouter::new(6, params());
+        for (k, (a, b)) in [(5, 0), (3, 4), (0, 3), (2, 1), (1, 5), (4, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            r.contact(NodeId(a), NodeId(b), k as f64 * 60.0);
+            assert_eq!(r.validate(), Ok(()));
+        }
+        for x in 0..6 {
+            assert_eq!(r.predictability(NodeId(x), NodeId(x), 400.0), 0.0);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_malformed_tables() {
+        let entry = |dest| Entry {
+            dest,
+            p: 0.5,
+            last_aged: 0.0,
+        };
+        let with_table = |entries: Vec<Entry>| {
+            let mut r = ProphetRouter::new(3, params());
+            r.tables[0] = ProphetTable { entries };
+            r.validate()
+        };
+        assert_eq!(with_table(vec![entry(1), entry(2)]), Ok(()));
+        assert!(with_table(vec![entry(2), entry(1)]).is_err());
+        assert!(with_table(vec![entry(1), entry(1)]).is_err());
+        assert!(with_table(vec![entry(0)]).is_err());
+        assert!(with_table(vec![entry(3)]).is_err());
     }
 
     #[test]
