@@ -1,6 +1,6 @@
 //! Ablation benchmark for DESIGN.md decision #1: the exact
 //! segment-decomposition expected coverage vs the paper's 2^m outcome
-//! enumeration (Definition 2) vs Monte-Carlo sampling.
+//! enumeration (Definition 2).
 //!
 //! The segment algorithm makes per-contact selection affordable; this
 //! bench quantifies the gap (enumeration explodes past ~12 nodes, while
@@ -8,7 +8,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use photodtn_core::expected::enumerate::expected_coverage_enumerate;
-use photodtn_core::expected::montecarlo::expected_coverage_montecarlo;
 use photodtn_core::expected::segment::expected_coverage_exact;
 use photodtn_core::expected::{DeliveryNode, ExpectedEngine};
 use photodtn_coverage::{CoverageParams, PhotoCoverage, PhotoMeta, Poi, PoiList};
@@ -56,14 +55,6 @@ fn bench_algorithms(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("segment_exact", m), &m, |b, _| {
             b.iter(|| black_box(expected_coverage_exact(&pois, &nodes, params)));
-        });
-        group.bench_with_input(BenchmarkId::new("montecarlo_1k", m), &m, |b, _| {
-            b.iter(|| {
-                let mut rng = SmallRng::seed_from_u64(1);
-                black_box(expected_coverage_montecarlo(
-                    &pois, &nodes, params, 1000, &mut rng,
-                ))
-            });
         });
     }
     // The segment algorithm keeps scaling where enumeration cannot go.

@@ -1,14 +1,10 @@
-//! Ablation benchmark for DESIGN.md decision #3: lazy (accelerated)
-//! greedy vs naive greedy in the per-contact photo reallocation, scaling
-//! the pool size — plus the indexed-vs-linear comparison behind the
-//! spatial coverage index (DESIGN.md decision on the contact-scoped
-//! index), scaling the PoI count.
+//! Ablation benchmark for DESIGN.md decision #3: indexed lazy greedy vs
+//! the naive greedy oracle in the per-contact photo reallocation, scaling
+//! first the pool size and then the PoI count.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use photodtn_contacts::NodeId;
-use photodtn_core::selection::{
-    reallocate, reallocate_lazy_linear, reallocate_naive, PeerState, SelectionInput,
-};
+use photodtn_core::selection::{reallocate, reallocate_naive, PeerState, SelectionInput};
 use photodtn_coverage::{CoverageParams, Photo, PhotoMeta, Poi, PoiList};
 use photodtn_geo::{Angle, Point};
 use rand::rngs::SmallRng;
@@ -79,12 +75,12 @@ fn bench_reallocate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Indexed vs pre-index lazy vs naive greedy while the PoI count scales.
+/// Indexed vs naive greedy while the PoI count scales.
 ///
 /// The pool is fixed at 120 photos so the only variable is how much of
-/// the map each gain evaluation has to look at: the linear paths scan
-/// every PoI per candidate, the indexed path only touches the PoIs
-/// inside each candidate's sector bounding box.
+/// the map each gain evaluation has to look at: the naive path walks the
+/// PoI grid per candidate evaluation, the indexed path only touches the
+/// PoIs each candidate's coverage table lists.
 fn bench_poi_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection/poi_scaling");
     for num_pois in [10u32, 100, 1000] {
@@ -111,13 +107,6 @@ fn bench_poi_scaling(c: &mut Criterion) {
             &input,
             |bch, input| {
                 bch.iter(|| black_box(reallocate(input)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("lazy_linear", num_pois),
-            &input,
-            |bch, input| {
-                bch.iter(|| black_box(reallocate_lazy_linear(input)));
             },
         );
         group.bench_with_input(BenchmarkId::new("naive", num_pois), &input, |bch, input| {

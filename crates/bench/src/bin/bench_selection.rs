@@ -1,18 +1,24 @@
 //! Selection hot-path harness: times one full contact reallocation on a
 //! large world (1000 PoIs, 200-photo pool, 150-photo command-center
-//! collection, 4 MB photos) for every greedy implementation and writes
-//! `BENCH_selection.json`.
+//! collection, 4 MB photos) through the naive oracle and three session
+//! set-ups, and writes `BENCH_selection.json`.
 //!
 //! Unlike the criterion benches this is a plain binary with hand-rolled
 //! [`std::time::Instant`] timing, so it runs anywhere and emits a
 //! machine-readable artifact the acceptance gates can check:
 //!
-//! * `indexed` (the per-contact production path, [`reallocate`]) must
-//!   beat the exhaustive greedy (`reallocate_naive`) by at least 3x;
+//! * `indexed` (a fresh [`SelectionSession`] per contact, [`reallocate`])
+//!   must beat the exhaustive greedy (`reallocate_naive`) by at least 3x;
 //! * `incremental` (the steady-state [`SelectionSession`] path: warm
 //!   coverage-table cache + checkpointed third-party base) must beat
-//!   `indexed_scalar` — the pre-SIMD per-contact path, i.e. the PR-1
-//!   baseline measured in this same process — by at least 3x.
+//!   `indexed_scalar` — a fresh session whose coverage tables come from
+//!   the scalar reference build ([`PhotoCoverage::build_scalar`]), i.e.
+//!   the pre-SIMD per-contact path measured in this same process — by at
+//!   least 3x.
+//!
+//! All four rows take the same input and must return identical
+//! selections; the output records `selections_identical` and the
+//! `machine` block.
 //!
 //! Both baselines are timed in-process on the same workload, so the
 //! gates are machine-independent. `--smoke` shrinks the workload for CI
@@ -26,14 +32,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use photodtn_bench::machine_json;
 use photodtn_contacts::NodeId;
 use photodtn_core::expected::DeliveryNode;
 use photodtn_core::selection::{
-    reallocate, reallocate_indexed_scalar, reallocate_lazy_linear, reallocate_naive, PeerState,
-    SelectionInput, SelectionResult, SelectionSession,
+    reallocate, reallocate_naive, PeerState, SelectionInput, SelectionResult, SelectionSession,
 };
 use photodtn_coverage::{
-    CoverageParams, CoverageTableCache, Photo, PhotoId, PhotoMeta, Poi, PoiList,
+    CoverageParams, CoverageTableCache, Photo, PhotoCoverage, PhotoId, PhotoMeta, Poi, PoiList,
 };
 use photodtn_geo::{Angle, Point};
 use rand::rngs::SmallRng;
@@ -115,6 +121,15 @@ fn world(w: &Workload) -> (PoiList, Vec<Photo>, Vec<Photo>, Vec<(PhotoId, PhotoM
     (pois, a, b, cc)
 }
 
+/// One contact through a fresh session whose coverage tables come from
+/// the scalar reference build — the pre-SIMD per-contact baseline.
+fn reallocate_indexed_scalar(input: &SelectionInput<'_>) -> SelectionResult {
+    let mut session = SelectionSession::new(Arc::new(input.pois.clone()), input.params);
+    session.reallocate_with(input, |_, meta| {
+        Arc::new(PhotoCoverage::build_scalar(meta, input.pois, input.params))
+    })
+}
+
 /// Median wall time of one `f()` call, in nanoseconds.
 fn median_ns<F: FnMut() -> SelectionResult>(w: &Workload, mut f: F) -> (u128, SelectionResult) {
     let mut last = f();
@@ -160,9 +175,9 @@ fn main() {
             capacity: (w.pool / 2) * PHOTO_BYTES,
             photos: b,
         },
-        // The command center's collection: id-tagged, so the session path
-        // can both resolve cached tables and checkpoint the committed
-        // base. The per-contact paths ignore the ids (metadata scan).
+        // The command center's collection: id-tagged, so every session
+        // row commits it through coverage tables and the incremental row
+        // can checkpoint it. The naive oracle scans its metadata.
         others: vec![DeliveryNode::with_ids(1.0, cc)],
     };
 
@@ -177,7 +192,6 @@ fn main() {
     );
 
     let (naive_ns, naive) = median_ns(w, || reallocate_naive(&input));
-    let (linear_ns, linear) = median_ns(w, || reallocate_lazy_linear(&input));
     let (scalar_ns, scalar) = median_ns(w, || reallocate_indexed_scalar(&input));
     let (indexed_ns, indexed) = median_ns(w, || reallocate(&input));
 
@@ -195,7 +209,6 @@ fn main() {
 
     for (name, ns, r) in [
         ("naive", naive_ns, &naive),
-        ("lazy_linear", linear_ns, &linear),
         ("indexed_scalar", scalar_ns, &scalar),
         ("indexed", indexed_ns, &indexed),
         ("incremental", incr_ns, &incr),
@@ -207,10 +220,6 @@ fn main() {
     }
 
     assert_eq!(indexed, naive, "indexed and naive selections diverged");
-    assert_eq!(
-        indexed, linear,
-        "indexed and lazy-linear selections diverged"
-    );
     assert_eq!(
         indexed, scalar,
         "indexed and indexed-scalar selections diverged"
@@ -228,10 +237,8 @@ fn main() {
     );
 
     let speedup_vs_naive = naive_ns as f64 / indexed_ns as f64;
-    let speedup_vs_linear = linear_ns as f64 / indexed_ns as f64;
     let speedup_incr = scalar_ns as f64 / incr_ns as f64;
     println!("\nindexed vs naive:              {speedup_vs_naive:.2}x");
-    println!("indexed vs lazy_linear:        {speedup_vs_linear:.2}x");
     println!("incremental vs indexed_scalar: {speedup_incr:.2}x");
 
     let json = format!(
@@ -239,13 +246,17 @@ fn main() {
          \"cc_photos\": {},\n    \"photo_bytes\": {PHOTO_BYTES},\n    \"iterations\": {},\n    \
          \"smoke\": {}\n  }},\n  \
          \"median_ns_per_reallocation\": {{\n    \"naive\": {naive_ns},\n    \
-         \"lazy_linear\": {linear_ns},\n    \"indexed_scalar\": {scalar_ns},\n    \
+         \"indexed_scalar\": {scalar_ns},\n    \
          \"indexed\": {indexed_ns},\n    \"incremental\": {incr_ns}\n  }},\n  \
          \"speedup_indexed_vs_naive\": {speedup_vs_naive:.3},\n  \
-         \"speedup_indexed_vs_lazy_linear\": {speedup_vs_linear:.3},\n  \
          \"speedup_incremental_vs_indexed_scalar\": {speedup_incr:.3},\n  \
-         \"selections_identical\": true\n}}\n",
-        w.num_pois, w.pool, w.cc_photos, w.iters, w.smoke
+         \"selections_identical\": true,\n  \"machine\": {}\n}}\n",
+        w.num_pois,
+        w.pool,
+        w.cc_photos,
+        w.iters,
+        w.smoke,
+        machine_json()
     );
     std::fs::write("BENCH_selection.json", &json).expect("write BENCH_selection.json");
     eprintln!("bench_selection: wrote BENCH_selection.json");

@@ -10,7 +10,7 @@
 //! builder — to produce baseline numbers:
 //!
 //! ```sh
-//! # in the old checkout (bench_sim.rs copied in):
+//! # in the old checkout (bench_sim.rs and the lib's `machine_json` copied in):
 //! cargo run --release -p photodtn-bench --bin bench_sim -- \
 //!     --emit-baseline /tmp/bench_before.txt
 //! # in the current checkout:
@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use photodtn_bench::scheme_by_name;
+use photodtn_bench::{machine_json, scheme_by_name};
 use photodtn_contacts::ContactTrace;
 use photodtn_sim::{SimConfig, Simulation, WorldSource};
 
@@ -300,14 +300,15 @@ fn main() {
     json.push_str(&format!(
         "  \"workload\": {{\n    \"nodes\": {},\n    \"hours\": {},\n    \"num_pois\": {},\n    \
          \"photos_per_hour\": {},\n    \"contacts\": {},\n    \"iterations\": {},\n    \
-         \"smoke\": {}\n  }},\n",
+         \"smoke\": {}\n  }},\n  \"machine\": {},\n",
         workload.nodes,
         workload.hours,
         workload.num_pois,
         workload.photos_per_hour,
         trace.len(),
         workload.iters,
-        smoke
+        smoke,
+        machine_json()
     ));
     json.push_str("  \"schemes\": {\n");
     for (i, t) in timings.iter().enumerate() {

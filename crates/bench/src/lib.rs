@@ -316,9 +316,53 @@ pub fn print_json(figure: &str, args: &Args, series: &[AveragedSeries]) {
     );
 }
 
+/// The `machine` block every BENCH file records: core count, CPU model,
+/// `rustc -V` and the git revision, as a one-line JSON object. A field
+/// that cannot be read (no `/proc/cpuinfo`, no `git` on the path, not a
+/// checkout) reads `"unknown"`.
+#[must_use]
+pub fn machine_json() -> String {
+    let run = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        });
+    let text = |v: Option<String>| {
+        serde_json::to_string(v.as_deref().unwrap_or("unknown")).expect("strings serialize")
+    };
+    format!(
+        "{{ \"cores\": {}, \"cpu\": {}, \"rustc\": {}, \"git_revision\": {} }}",
+        std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get),
+        text(cpu),
+        text(run("rustc", &["-V"])),
+        text(run("git", &["rev-parse", "HEAD"])),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn machine_block_is_a_json_object_with_every_field() {
+        let machine: serde_json::Value =
+            serde_json::from_str(&machine_json()).expect("machine block is JSON");
+        for key in ["cores", "cpu", "rustc", "git_revision"] {
+            assert!(machine.get(key).is_some(), "machine block lacks {key}");
+        }
+        assert!(machine["cores"].as_u64().is_some_and(|n| n >= 1));
+    }
 
     #[test]
     fn lineup_names_resolve() {

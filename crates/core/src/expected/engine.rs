@@ -11,39 +11,11 @@
 use std::cell::RefCell;
 use std::sync::Arc as StdArc;
 
-use photodtn_geo::{Angle, Arc, ArcSet, AspectBits, ASPECT_BIN_WIDTH};
+use photodtn_geo::{Angle, Arc, ArcSet, AspectBits};
 
 use photodtn_coverage::{
     AspectWeightMap, AspectWeights, Coverage, CoverageParams, PhotoCoverage, PhotoMeta, PoiList,
 };
-
-/// How the engine computes aspect-coverage measures.
-///
-/// See `DESIGN.md` ("Aspect quantization contract") for the full contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AspectMode {
-    /// Exact interval arithmetic over [`ArcSet`]s — the reference path.
-    /// Bit-identical to the pre-quantization engine; all determinism dumps
-    /// are produced in this mode.
-    Exact,
-    /// Fixed-width 128-bin bitsets ([`AspectBits`]): O(1) union/measure,
-    /// aspect measures quantized to the bin width (`2π/128` ≈ 2.8°).
-    /// Point coverage is never quantized. Selection tie-breaking uses the
-    /// same comparator in both modes.
-    Quantized,
-}
-
-impl Default for AspectMode {
-    /// [`AspectMode::Exact`] unless the `quantized-aspects` cargo feature
-    /// flips the fleet default to the bitset path.
-    fn default() -> Self {
-        if cfg!(feature = "quantized-aspects") {
-            AspectMode::Quantized
-        } else {
-            AspectMode::Exact
-        }
-    }
-}
 
 /// Incrementally maintained `C_ex` over a set of engine-nodes.
 ///
@@ -84,8 +56,6 @@ pub struct ExpectedEngine {
     /// Optional per-PoI aspect weights (§II-C extension); `None` means
     /// uniform weights everywhere.
     aspect_weights: Option<AspectWeightMap>,
-    /// Aspect arithmetic mode (exact intervals vs quantized bitsets).
-    mode: AspectMode,
     /// Checkpoint of the committed base layer, when one is active. While
     /// set, every commit records an [`UndoOp`] so
     /// [`rollback`](Self::rollback) can restore the base state bitwise.
@@ -103,17 +73,13 @@ pub struct ExpectedEngine {
 struct Coverer {
     /// The engine-node; membership implies it point-covers this PoI.
     node: usize,
-    /// Exact covered-aspect set (authoritative in [`AspectMode::Exact`]).
+    /// Exact covered-aspect set.
     set: ArcSet,
     /// Under-approximating bitset of `set`: every inner bin (dilated by
     /// the margin) lies inside `set`, so `outer(arc) ⊆ inner` proves a
     /// candidate arc is fully covered — an O(1) skip that cannot change
-    /// exact-mode results.
+    /// results.
     inner: AspectBits,
-    /// Rounded quantization of `set` (authoritative in
-    /// [`AspectMode::Quantized`]): the union of the rounded bits of every
-    /// committed arc.
-    rounded: AspectBits,
 }
 
 /// Per-PoI incremental state.
@@ -143,7 +109,6 @@ enum UndoOp {
         poi: u32,
         idx: u32,
         prev_set: ArcSet,
-        prev_rounded: AspectBits,
     },
 }
 
@@ -184,34 +149,10 @@ impl ExpectedEngine {
             probs: Vec::new(),
             total: Coverage::ZERO,
             aspect_weights: None,
-            mode: AspectMode::default(),
             base: None,
             undo: Vec::new(),
             scratch: RefCell::new(Scratch::default()),
         }
-    }
-
-    /// Selects the aspect arithmetic mode (builder-style). Must be called
-    /// before any photo is committed: the accumulated total and per-PoI
-    /// state are only meaningful under a single mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if photos were already committed.
-    #[must_use]
-    pub fn with_aspect_mode(mut self, mode: AspectMode) -> Self {
-        assert!(
-            self.total.is_zero() && self.states.iter().all(|s| s.coverers.is_empty()),
-            "aspect mode must be set before committing photos"
-        );
-        self.mode = mode;
-        self
-    }
-
-    /// The engine's aspect arithmetic mode.
-    #[must_use]
-    pub fn aspect_mode(&self) -> AspectMode {
-        self.mode
     }
 
     /// Clears all nodes and committed photos, returning the engine to its
@@ -272,16 +213,10 @@ impl ExpectedEngine {
                     state.coverers.pop();
                     state.point_survival = prev_survival;
                 }
-                UndoOp::Extended {
-                    poi,
-                    idx,
-                    prev_set,
-                    prev_rounded,
-                } => {
+                UndoOp::Extended { poi, idx, prev_set } => {
                     let c = &mut self.states[poi as usize].coverers[idx as usize];
                     c.inner = AspectBits::inner_of_set(&prev_set);
                     c.set = prev_set;
-                    c.rounded = prev_rounded;
                 }
             }
         }
@@ -431,11 +366,6 @@ impl ExpectedEngine {
         let Some(arc) = arc else { return };
         let poi_id = photodtn_coverage::PoiId(poi_index as u32);
         let weights = self.aspect_weights.as_ref().and_then(|m| m.get(&poi_id));
-        if self.mode == AspectMode::Quantized {
-            gain.aspect +=
-                weight * p * quantized_aspect_gain(state, node, own, arc, &self.probs, weights);
-            return;
-        }
         if let Some(own_c) = own {
             // O(1) full-coverage short-circuit: if every bin the arc
             // touches is an inner bin of the node's own set, the exact
@@ -482,13 +412,11 @@ impl ExpectedEngine {
                         poi: poi_index as u32,
                         idx: k as u32,
                         prev_set: state.coverers[k].set.clone(),
-                        prev_rounded: state.coverers[k].rounded,
                     });
                 }
                 let c = &mut state.coverers[k];
                 c.set.insert(arc);
                 c.inner = AspectBits::inner_of_set(&c.set);
-                c.rounded.insert_arc_rounded(arc);
             }
             None => {
                 if recording {
@@ -501,7 +429,6 @@ impl ExpectedEngine {
                 state.coverers.push(Coverer {
                     node,
                     inner: AspectBits::inner_of_set(&set),
-                    rounded: AspectBits::rounded_of_arc(arc),
                     set,
                 });
                 state.point_survival *= 1.0 - p;
@@ -634,46 +561,6 @@ fn integrate_survival(
     integral
 }
 
-/// The quantized-mode aspect gain at one PoI:
-/// `Σ_{bin ∈ rounded(arc) \ rounded(own)} Δ · w(bin) · Π_{j ≠ node, bin ∈ rounded(S_j)} (1 − p_j)`.
-///
-/// All sets live in the same 128-bin quantization, so the novel region is
-/// one `AND NOT` and the no-other-coverer fast path is a popcount. With
-/// aspect weights, a bin's weight is sampled at its midpoint.
-fn quantized_aspect_gain(
-    state: &PoiState,
-    node: usize,
-    own: Option<&Coverer>,
-    arc: Arc,
-    probs: &[f64],
-    weights: Option<&AspectWeights>,
-) -> f64 {
-    let mut novel = AspectBits::rounded_of_arc(arc);
-    if let Some(own_c) = own {
-        novel = novel.minus(own_c.rounded);
-    }
-    if novel.is_empty() {
-        return 0.0;
-    }
-    if weights.is_none() && state.coverers.iter().all(|c| c.node == node) {
-        return novel.measure();
-    }
-    let mut integral = 0.0;
-    for bin in novel.iter_bins() {
-        let survival: f64 = state
-            .coverers
-            .iter()
-            .filter(|c| c.node != node && c.rounded.get(bin))
-            .map(|c| 1.0 - probs[c.node])
-            .product();
-        let weight = weights.map_or(1.0, |w| {
-            w.weight_at(Angle::from_radians((bin as f64 + 0.5) * ASPECT_BIN_WIDTH))
-        });
-        integral += ASPECT_BIN_WIDTH * weight * survival;
-    }
-    integral
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,9 +597,7 @@ mod tests {
             (0.3, vec![shot(t0, 30.0), shot(t0, 90.0)]),
             (0.5, vec![shot(t1, 200.0)]),
         ];
-        // Pin Exact: under `--features quantized-aspects` the default
-        // flips to Quantized, whose aspect totals differ by design.
-        let mut engine = ExpectedEngine::new(&pois(), params).with_aspect_mode(AspectMode::Exact);
+        let mut engine = ExpectedEngine::new(&pois(), params);
         for (p, metas) in &plan {
             let n = engine.add_node(*p);
             engine.add_collection(n, metas.iter());
@@ -996,43 +881,6 @@ mod tests {
         assert!(engine.has_checkpoint());
         engine.reset();
         assert!(!engine.has_checkpoint());
-    }
-
-    #[test]
-    fn quantized_mode_close_to_exact() {
-        let params = CoverageParams::default();
-        let pois = pois();
-        let t0 = Point::new(0.0, 0.0);
-        let t1 = Point::new(500.0, 0.0);
-        let mut exact = ExpectedEngine::new(&pois, params).with_aspect_mode(AspectMode::Exact);
-        let mut quant = ExpectedEngine::new(&pois, params).with_aspect_mode(AspectMode::Quantized);
-        assert_eq!(quant.aspect_mode(), AspectMode::Quantized);
-        let shots = [
-            (1.0, shot(t0, 90.0)),
-            (0.7, shot(t0, 0.0)),
-            (0.7, shot(t1, 45.0)),
-            (0.3, shot(t0, 100.0)),
-            (0.5, shot(t1, 200.0)),
-        ];
-        // Aspect measures agree within a few bin widths per committed arc;
-        // point coverage (never quantized) stays bit-identical.
-        let tolerance = 4.0 * ASPECT_BIN_WIDTH;
-        for (p, meta) in &shots {
-            let ne = exact.add_node(*p);
-            let nq = quant.add_node(*p);
-            assert_eq!(ne, nq);
-            let ge = exact.add_photo(ne, meta);
-            let gq = quant.add_photo(nq, meta);
-            assert_eq!(ge.point.to_bits(), gq.point.to_bits());
-            assert!(
-                (ge.aspect - gq.aspect).abs() <= tolerance,
-                "aspect gain diverged beyond quantization tolerance: {} vs {}",
-                ge.aspect,
-                gq.aspect
-            );
-        }
-        assert_eq!(exact.total().point.to_bits(), quant.total().point.to_bits());
-        assert!((exact.total().aspect - quant.total().aspect).abs() <= 5.0 * tolerance);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! [`segment::expected_coverage_exact`] evaluates this in polynomial time
 //! by decomposing each PoI's circle at arc endpoints, and
 //! [`ExpectedEngine`] maintains it incrementally for greedy selection.
-//! [`montecarlo::expected_coverage_montecarlo`] estimates it by sampling,
-//! as a third cross-check. Property tests assert all three agree.
+//! Enumeration is the test oracle: property tests assert the segment
+//! algorithm and the engine agree with it.
 //!
 //! ## Ordering expected coverages
 //!
@@ -35,10 +35,9 @@
 
 mod engine;
 pub mod enumerate;
-pub mod montecarlo;
 pub mod segment;
 
-pub use engine::{AspectMode, ExpectedEngine};
+pub use engine::ExpectedEngine;
 
 use photodtn_coverage::{PhotoId, PhotoMeta};
 

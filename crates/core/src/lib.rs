@@ -11,12 +11,11 @@
 //!   not met anyone since (and so probably still holds the same photos).
 //! * [`expected`] — expected coverage (§III-C): the coverage the command
 //!   center can *expect* to obtain, weighting each node's photos by its
-//!   PROPHET delivery probability. Three evaluators are provided — exact
-//!   outcome enumeration (the paper's Definition 2, exponential in the
-//!   node count), an exact polynomial-time segment decomposition, and a
-//!   Monte-Carlo estimator — plus the incremental
-//!   [`ExpectedEngine`](expected::ExpectedEngine) that powers greedy
-//!   selection.
+//!   PROPHET delivery probability. The incremental
+//!   [`ExpectedEngine`](expected::ExpectedEngine) powers greedy selection;
+//!   an exact polynomial-time segment decomposition evaluates a whole node
+//!   set, and exact outcome enumeration (the paper's Definition 2,
+//!   exponential in the node count) is the oracle both are tested against.
 //! * [`selection`] — the photo selection algorithm (§III-D): at each
 //!   contact the two nodes greedily re-allocate the photo pool
 //!   `F_a ∪ F_b` to maximize expected coverage under their storage

@@ -13,24 +13,21 @@
 //!    the *original* pool (a very valuable photo may be replicated to
 //!    both).
 //!
-//! [`reallocate`] implements this with *indexed* lazy greedy evaluation:
-//! each pooled photo's `(PoI, aspect arc)` coverage list is precomputed
-//! once per contact through the spatial grid ([`PhotoCoverage`]), gains
-//! are previewed through the engine's allocation-free fast path, the
-//! previewed gain is committed without recomputation, and staleness is
-//! tracked per PoI with a generation counter so a committed photo only
-//! invalidates candidates that share a PoI with it. Lazy evaluation is
-//! valid because marginal gains only shrink as photos are committed
-//! (submodularity).
+//! [`SelectionSession`] implements this with *indexed* lazy greedy
+//! evaluation: each pooled photo's `(PoI, aspect arc)` coverage list
+//! ([`PhotoCoverage`]) is resolved once per contact, gains are previewed
+//! through the engine's allocation-free fast path, the previewed gain is
+//! committed without recomputation, and staleness is tracked per PoI with
+//! a generation counter so a committed photo only invalidates candidates
+//! that share a PoI with it. Lazy evaluation is valid because marginal
+//! gains only shrink as photos are committed (submodularity).
+//! [`reallocate`] and [`reallocate_weighted`] run one contact through a
+//! fresh session.
 //!
-//! Two reference implementations are kept for validation and benchmarks:
-//! [`reallocate_naive`] recomputes every candidate's gain at every step
-//! (O(pool²·gain)), and [`reallocate_lazy_linear`] is the pre-index lazy
-//! greedy that rescans the PoI list per evaluation and marks the whole
-//! heap stale after each commit. All three produce identical
-//! [`SelectionResult`]s.
+//! [`reallocate_naive`] is the layer's test oracle: it recomputes every
+//! candidate's gain from photo metadata at every step (O(pool²·gain)) and
+//! must produce an identical [`SelectionResult`].
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
@@ -38,7 +35,7 @@ use std::sync::Arc;
 
 use photodtn_contacts::NodeId;
 use photodtn_coverage::{
-    AspectWeightMap, Coverage, CoverageParams, Photo, PhotoCoverage, PhotoId, PoiList,
+    AspectWeightMap, Coverage, CoverageParams, Photo, PhotoCoverage, PhotoId, PhotoMeta, PoiList,
 };
 
 use crate::expected::{DeliveryNode, ExpectedEngine};
@@ -84,7 +81,7 @@ pub struct SelectionStats {
     /// Engine gain evaluations (initial heap fill + refreshes, or every
     /// scan probe of the naive path).
     pub evaluations: u64,
-    /// Re-evaluations of candidates that had gone stale (lazy paths
+    /// Re-evaluations of candidates that had gone stale (lazy path
     /// only).
     pub refreshes: u64,
     /// Photos committed across both peers.
@@ -130,66 +127,11 @@ impl SelectionResult {
     }
 }
 
-/// Which greedy implementation [`run_with`] drives. All strategies
-/// produce identical [`SelectionResult`]s; they differ only in how much
-/// work they perform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Strategy {
-    /// Full rescan of the pool at every step — the correctness reference.
-    Naive,
-    /// Lazy greedy over per-photo metadata: every evaluation rescans the
-    /// PoI grid and every commit marks the whole heap stale.
-    LazyLinear,
-    /// Lazy greedy over precomputed [`PhotoCoverage`] lists with per-PoI
-    /// generation tracking — the production path.
-    LazyIndexed,
-    /// [`Strategy::LazyIndexed`] with coverage tables built through the
-    /// scalar reference path ([`PhotoCoverage::build_scalar`]) — the
-    /// pre-SIMD data path, kept as a benchmark baseline.
-    LazyIndexedScalar,
-}
-
-/// Runs the greedy reallocation with indexed lazy gain evaluation.
+/// Runs the greedy reallocation of one contact through a fresh
+/// [`SelectionSession`], building every coverage table on the spot.
 #[must_use]
 pub fn reallocate(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexed, false)
-}
-
-/// Runs the greedy reallocation recomputing every candidate's gain at
-/// every step (reference implementation).
-#[must_use]
-pub fn reallocate_naive(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::Naive, false)
-}
-
-/// Runs the pre-index lazy greedy: per-metadata gain evaluation and
-/// whole-heap invalidation after each commit. Kept as a benchmark
-/// baseline and equivalence witness for [`reallocate`].
-#[must_use]
-pub fn reallocate_lazy_linear(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyLinear, false)
-}
-
-/// Runs the indexed lazy greedy with coverage tables built through the
-/// scalar reference path ([`PhotoCoverage::build_scalar`]) instead of the
-/// batched prefilter — i.e. the full pre-SIMD data path. Kept as the
-/// benchmark baseline the batched/incremental speedups are gated against;
-/// bit-identical to [`reallocate`].
-#[must_use]
-pub fn reallocate_indexed_scalar(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexedScalar, false)
-}
-
-/// Runs the greedy reallocation ranking candidates by **gain per byte**
-/// instead of raw gain — an extension for heterogeneous photo sizes.
-///
-/// The paper's photos are uniformly 4 MB, so its greedy ignores size;
-/// with mixed sizes the density rule is the classic knapsack heuristic
-/// and dominates raw-gain greedy whenever small photos can substitute
-/// for a large one.
-#[must_use]
-pub fn reallocate_density(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexed, true)
+    fresh_session(input).reallocate_with(input, |_, meta| build_table(input, meta))
 }
 
 /// Runs the greedy reallocation with per-PoI aspect weights (§II-C:
@@ -201,62 +143,57 @@ pub fn reallocate_weighted(
     input: &SelectionInput<'_>,
     weights: &AspectWeightMap,
 ) -> SelectionResult {
-    run_with(input, Strategy::LazyIndexed, false, Some(weights))
+    fresh_session(input)
+        .with_aspect_weights(weights.clone())
+        .reallocate_with(input, |_, meta| build_table(input, meta))
 }
 
-fn run(input: &SelectionInput<'_>, strategy: Strategy, per_byte: bool) -> SelectionResult {
-    run_with(input, strategy, per_byte, None)
+fn fresh_session(input: &SelectionInput<'_>) -> SelectionSession {
+    SelectionSession::new(Arc::new(input.pois.clone()), input.params)
 }
 
-fn run_with(
-    input: &SelectionInput<'_>,
-    strategy: Strategy,
-    per_byte: bool,
-    weights: Option<&AspectWeightMap>,
-) -> SelectionResult {
+fn build_table(input: &SelectionInput<'_>, meta: &PhotoMeta) -> Arc<PhotoCoverage> {
+    Arc::new(PhotoCoverage::build(meta, input.pois, input.params))
+}
+
+/// Runs the greedy reallocation recomputing every candidate's gain from
+/// photo metadata at every step — the test oracle of the selection layer.
+#[must_use]
+pub fn reallocate_naive(input: &SelectionInput<'_>) -> SelectionResult {
     let mut engine = ExpectedEngine::new(input.pois, input.params);
-    if let Some(w) = weights {
-        engine = engine.with_aspect_weights(w.clone());
-    }
     for other in &input.others {
         let n = engine.add_node(other.delivery_prob);
         engine.add_collection(n, other.metas.iter());
     }
+    let pool = pool_of(input);
+    run_phases(input, &mut engine, |engine, peer, stats| {
+        select_naive(engine, peer, &pool, stats)
+    })
+}
 
-    // Shared selection pool F_a ∪ F_b, deduplicated by id.
-    let pool: BTreeMap<PhotoId, Photo> = input
+/// The shared selection pool `F_a ∪ F_b`, deduplicated by id.
+fn pool_of(input: &SelectionInput<'_>) -> BTreeMap<PhotoId, Photo> {
+    input
         .a
         .photos
         .iter()
         .chain(input.b.photos.iter())
         .map(|p| (p.id, *p))
-        .collect();
+        .collect()
+}
 
-    // The contact-scoped coverage index: each pooled photo's (PoI, arc)
-    // list, computed once through the spatial grid and reused across both
-    // peers' selection phases and every gain evaluation within them.
-    let items: Vec<(Photo, PhotoCoverage)> = match strategy {
-        Strategy::LazyIndexed => pool
-            .values()
-            .map(|p| (*p, PhotoCoverage::build(&p.meta, input.pois, input.params)))
-            .collect(),
-        Strategy::LazyIndexedScalar => pool
-            .values()
-            .map(|p| {
-                (
-                    *p,
-                    PhotoCoverage::build_scalar(&p.meta, input.pois, input.params),
-                )
-            })
-            .collect(),
-        Strategy::Naive | Strategy::LazyLinear => Vec::new(),
-    };
-    // Per-PoI "last changed at commit #" stamps, reused across phases.
-    let mut poi_gen = vec![0u32; input.pois.len()];
-    let mut stats = SelectionStats::default();
-
-    // Higher delivery probability selects first; ties break on node id so
-    // both endpoints compute the identical plan independently.
+/// Runs `select` for both peers, higher delivery probability first, and
+/// assembles the result from the engine's final total.
+fn run_phases<F>(
+    input: &SelectionInput<'_>,
+    engine: &mut ExpectedEngine,
+    mut select: F,
+) -> SelectionResult
+where
+    F: FnMut(&mut ExpectedEngine, &PeerState, &mut SelectionStats) -> Vec<PhotoId>,
+{
+    // Ties break on node id so both endpoints compute the identical plan
+    // independently.
     let a_first = match input.a.delivery_prob.total_cmp(&input.b.delivery_prob) {
         Ordering::Greater => true,
         Ordering::Less => false,
@@ -267,19 +204,9 @@ fn run_with(
     } else {
         (&input.b, &input.a)
     };
-
-    let mut select = |engine: &mut ExpectedEngine, peer: &PeerState, stats: &mut SelectionStats| {
-        match strategy {
-            Strategy::Naive => select_naive(engine, peer, &pool, per_byte, stats),
-            Strategy::LazyLinear => select_lazy_linear(engine, peer, &pool, per_byte, stats),
-            Strategy::LazyIndexed | Strategy::LazyIndexedScalar => {
-                select_lazy_indexed(engine, peer, &items, per_byte, &mut poi_gen, stats)
-            }
-        }
-    };
-    let first_sel = select(&mut engine, first, &mut stats);
-    let second_sel = select(&mut engine, second, &mut stats);
-
+    let mut stats = SelectionStats::default();
+    let first_sel = select(engine, first, &mut stats);
+    let second_sel = select(engine, second, &mut stats);
     let (a_selected, b_selected) = if a_first {
         (first_sel, second_sel)
     } else {
@@ -296,20 +223,17 @@ fn run_with(
 
 /// A reusable reallocation context for one simulated world.
 ///
-/// [`reallocate`] constructs a fresh [`ExpectedEngine`] (cloning the PoI
-/// list), a fresh generation array, and a fresh item table on **every**
-/// contact. A `SelectionSession` hoists all three to per-run lifetime:
-/// the engine is [`reset`](ExpectedEngine::reset) instead of rebuilt
-/// (keeping its scratch buffers warm, preserving the zero-allocation
-/// preview property across contacts), and photo coverage tables are
-/// supplied by the caller — typically from a per-run
+/// A session keeps its [`ExpectedEngine`], generation array and item
+/// table for its whole lifetime: the engine is
+/// [`reset`](ExpectedEngine::reset) instead of rebuilt (keeping its
+/// scratch buffers warm, preserving the zero-allocation preview property
+/// across contacts), and photo coverage tables are supplied by the
+/// caller — typically from a per-run
 /// [`CoverageTableCache`](photodtn_coverage::CoverageTableCache) — so
 /// each table is built once per run instead of once per contact.
 ///
-/// [`reallocate_with`](Self::reallocate_with) is bit-identical to
-/// [`reallocate`] on the same input (equivalence-tested below): it runs
-/// the identical indexed lazy greedy; only the provenance of the
-/// allocations differs.
+/// A reused session returns exactly what [`reallocate_naive`] returns on
+/// every contact it serves (tested below).
 #[derive(Debug)]
 pub struct SelectionSession {
     engine: ExpectedEngine,
@@ -332,6 +256,14 @@ impl SelectionSession {
             items: Vec::new(),
             base_sig: Vec::new(),
         }
+    }
+
+    /// Applies per-PoI aspect weights to every contact the session serves
+    /// (builder-style).
+    #[must_use]
+    pub fn with_aspect_weights(mut self, weights: AspectWeightMap) -> Self {
+        self.engine = self.engine.with_aspect_weights(weights);
+        self
     }
 
     /// Whether the checkpointed third-party base can serve this contact:
@@ -370,7 +302,7 @@ impl SelectionSession {
         mut coverage: F,
     ) -> SelectionResult
     where
-        F: FnMut(PhotoId, &photodtn_coverage::PhotoMeta) -> Arc<PhotoCoverage>,
+        F: FnMut(PhotoId, &PhotoMeta) -> Arc<PhotoCoverage>,
     {
         debug_assert_eq!(
             input.pois.len(),
@@ -416,64 +348,26 @@ impl SelectionSession {
             }
         }
 
-        let pool: BTreeMap<PhotoId, Photo> = input
-            .a
-            .photos
-            .iter()
-            .chain(input.b.photos.iter())
-            .map(|p| (p.id, *p))
-            .collect();
         self.items.clear();
-        self.items
-            .extend(pool.values().map(|p| (*p, coverage(p.id, &p.meta))));
-
-        let mut stats = SelectionStats::default();
-        let a_first = match input.a.delivery_prob.total_cmp(&input.b.delivery_prob) {
-            Ordering::Greater => true,
-            Ordering::Less => false,
-            Ordering::Equal => input.a.node <= input.b.node,
-        };
-        let (first, second) = if a_first {
-            (&input.a, &input.b)
-        } else {
-            (&input.b, &input.a)
-        };
-        let first_sel = select_lazy_indexed(
-            &mut self.engine,
-            first,
-            &self.items,
-            false,
-            &mut self.poi_gen,
-            &mut stats,
+        self.items.extend(
+            pool_of(input)
+                .into_values()
+                .map(|p| (p, coverage(p.id, &p.meta))),
         );
-        let second_sel = select_lazy_indexed(
-            &mut self.engine,
-            second,
-            &self.items,
-            false,
-            &mut self.poi_gen,
-            &mut stats,
-        );
-        let (a_selected, b_selected) = if a_first {
-            (first_sel, second_sel)
-        } else {
-            (second_sel, first_sel)
-        };
-        SelectionResult {
-            a_selected,
-            b_selected,
-            a_first,
-            expected: self.engine.total(),
-            stats,
-        }
+        let (items, poi_gen) = (&self.items, &mut self.poi_gen);
+        run_phases(input, &mut self.engine, |engine, peer, stats| {
+            select_lazy_indexed(engine, peer, items, poi_gen, stats)
+        })
     }
 }
 
 /// Indexed lazy greedy fill of one peer's storage (problem (3) of the
 /// paper) — the production hot path.
 ///
-/// Differences from [`select_lazy_linear`]:
+/// Differences from [`select_naive`]:
 ///
+/// * candidates sit in a max-heap of previewed gains, refreshed lazily
+///   only when they reach the top;
 /// * gains are previewed through [`ExpectedEngine::gain_of_indexed`] on
 ///   the precomputed coverage lists (no PoI-grid rescans, no steady-state
 ///   allocation);
@@ -483,14 +377,12 @@ impl SelectionSession {
 ///   and stamps only the PoIs that photo touches, so a popped candidate
 ///   needs a refresh only if it shares a PoI with a later commit. A gain
 ///   depends solely on the states of the PoIs the photo covers, so an
-///   entry whose PoIs are unstamped since its evaluation is exact — this
-///   replaces the O(pool) whole-heap invalidation sweep after every
-///   commit.
-fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
+///   entry whose PoIs are unstamped since its evaluation is exact, and a
+///   commit never sweeps the whole heap.
+fn select_lazy_indexed(
     engine: &mut ExpectedEngine,
     peer: &PeerState,
-    items: &[(Photo, C)],
-    per_byte: bool,
+    items: &[(Photo, Arc<PhotoCoverage>)],
     poi_gen: &mut [u32],
     stats: &mut SelectionStats,
 ) -> Vec<PhotoId> {
@@ -504,9 +396,9 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
         .enumerate()
         .map(|(i, (p, cov))| {
             stats.evaluations += 1;
-            let raw = engine.gain_of_indexed(node, cov.borrow());
+            let raw = engine.gain_of_indexed(node, cov);
             IndexedEntry {
-                gain: rank(raw, p.size, per_byte),
+                gain: rank(raw),
                 raw,
                 id: p.id,
                 idx: i as u32,
@@ -519,7 +411,6 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
             break;
         }
         let (photo, cov) = &items[top.idx as usize];
-        let cov = cov.borrow();
         if photo.size > remaining {
             continue; // cannot fit now or ever (remaining only shrinks)
         }
@@ -530,7 +421,7 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
             stats.evaluations += 1;
             stats.refreshes += 1;
             top.raw = engine.gain_of_indexed(node, cov);
-            top.gain = rank(top.raw, photo.size, per_byte);
+            top.gain = rank(top.raw);
             top.gen = cur_gen;
             // Still at least as good as the next candidate's bound?
             if let Some(next) = heap.peek() {
@@ -555,77 +446,12 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
     selected
 }
 
-/// Pre-index lazy greedy (kept as baseline): per-metadata evaluation and
-/// whole-heap invalidation after each commit.
-fn select_lazy_linear(
-    engine: &mut ExpectedEngine,
-    peer: &PeerState,
-    pool: &BTreeMap<PhotoId, Photo>,
-    per_byte: bool,
-    stats: &mut SelectionStats,
-) -> Vec<PhotoId> {
-    let node = engine.add_node(peer.delivery_prob);
-    let mut remaining = peer.capacity;
-    let mut selected = Vec::new();
-    // Lazy greedy: gains only shrink as the engine state grows, so a
-    // heap of stale upper bounds is safe — pop, refresh, and commit
-    // only if the refreshed gain still tops the heap.
-    let mut heap: BinaryHeap<HeapEntry> = pool
-        .values()
-        .map(|p| {
-            stats.evaluations += 1;
-            HeapEntry {
-                gain: rank(engine.gain_of(node, &p.meta), p.size, per_byte),
-                id: p.id,
-                fresh: true,
-            }
-        })
-        .collect();
-    while let Some(mut top) = heap.pop() {
-        if top.gain <= (0, 0) {
-            break;
-        }
-        let photo = &pool[&top.id];
-        if photo.size > remaining {
-            continue; // cannot fit now or ever (remaining only shrinks)
-        }
-        if !top.fresh {
-            stats.evaluations += 1;
-            stats.refreshes += 1;
-            top.gain = rank(engine.gain_of(node, &photo.meta), photo.size, per_byte);
-            top.fresh = true;
-            // Still at least as good as the next candidate's bound?
-            if let Some(next) = heap.peek() {
-                if next.key() > top.key() {
-                    heap.push(top);
-                    continue;
-                }
-            }
-            if top.gain <= (0, 0) {
-                continue;
-            }
-        }
-        engine.add_photo(node, &photo.meta);
-        stats.commits += 1;
-        remaining -= photo.size;
-        selected.push(top.id);
-        // Every other bound is now stale.
-        let drained: Vec<HeapEntry> = heap.drain().collect();
-        heap.extend(drained.into_iter().map(|mut e| {
-            e.fresh = false;
-            e
-        }));
-    }
-    selected
-}
-
 /// Exhaustive greedy fill (correctness reference): rescans the whole pool
 /// at every step.
 fn select_naive(
     engine: &mut ExpectedEngine,
     peer: &PeerState,
     pool: &BTreeMap<PhotoId, Photo>,
-    per_byte: bool,
     stats: &mut SelectionStats,
 ) -> Vec<PhotoId> {
     let node = engine.add_node(peer.delivery_prob);
@@ -638,7 +464,7 @@ fn select_naive(
                 continue;
             }
             stats.evaluations += 1;
-            let g = rank(engine.gain_of(node, &p.meta), p.size, per_byte);
+            let g = rank(engine.gain_of(node, &p.meta));
             if g <= (0, 0) {
                 continue;
             }
@@ -662,54 +488,20 @@ fn select_naive(
 
 /// Gains are compared at a fixed 1e-9 resolution so that floating-point
 /// noise cannot make the lazy and naive paths break ties differently.
-/// With `per_byte` the components are divided by the photo size first
-/// (the gain-per-byte knapsack heuristic); positivity is unaffected.
-fn rank(c: Coverage, size: u64, per_byte: bool) -> (i64, i64) {
+fn rank(c: Coverage) -> (i64, i64) {
     const SCALE: f64 = 1e9;
-    let div = if per_byte { size.max(1) as f64 } else { 1.0 };
     (
-        (c.point / div * SCALE).round() as i64,
-        (c.aspect / div * SCALE).round() as i64,
+        (c.point * SCALE).round() as i64,
+        (c.aspect * SCALE).round() as i64,
     )
 }
 
-/// Heap entry ordered by quantized (point, aspect) descending with
-/// ascending-id tie-break, so the heap pops the best candidate
-/// deterministically.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    gain: (i64, i64),
-    id: PhotoId,
-    fresh: bool,
-}
-
-impl HeapEntry {
-    fn key(&self) -> ((i64, i64), std::cmp::Reverse<PhotoId>) {
-        (self.gain, std::cmp::Reverse(self.id))
-    }
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Heap entry of the indexed lazy path. Carries the raw previewed
+/// Heap entry of the indexed lazy path, ordered by quantized (point,
+/// aspect) descending with ascending-id tie-break, so the heap pops the
+/// best candidate deterministically. Carries the raw previewed
 /// [`Coverage`] (so a commit needs no re-evaluation) and the commit
 /// generation at which the gain was computed (so freshness is decided per
-/// PoI instead of by a whole-heap stale flag).
+/// PoI).
 #[derive(Clone, Copy, Debug)]
 struct IndexedEntry {
     gain: (i64, i64),
@@ -747,7 +539,7 @@ impl Ord for IndexedEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use photodtn_coverage::{PhotoMeta, Poi};
+    use photodtn_coverage::Poi;
     use photodtn_geo::{Angle, Point};
 
     fn pois() -> PoiList {
@@ -830,14 +622,9 @@ mod tests {
                 let input = mk(caps, pa, pb);
                 let lazy = reallocate(&input);
                 let naive = reallocate_naive(&input);
-                let linear = reallocate_lazy_linear(&input);
                 assert_eq!(
                     lazy, naive,
                     "indexed/naive divergence at caps {caps:?} p=({pa},{pb})"
-                );
-                assert_eq!(
-                    lazy, linear,
-                    "indexed/linear divergence at caps {caps:?} p=({pa},{pb})"
                 );
             }
         }
@@ -995,78 +782,11 @@ mod tests {
     }
 
     #[test]
-    fn density_variant_beats_raw_gain_on_mixed_sizes() {
-        // One 3-byte photo covers both PoIs; three 1-byte photos cover
-        // them severally with an extra angle. With capacity 3, raw-gain
-        // greedy grabs the big photo (gain 2 points) and is full; the
-        // density rule takes the three small ones and wins on aspects.
-        let pois = pois();
-        let t0 = Point::new(0.0, 0.0);
-        let t1 = Point::new(600.0, 0.0);
-        // a wide shot midway that covers both targets
-        let both = Photo::new(
-            1,
-            PhotoMeta::new(
-                Point::new(300.0, 10.0),
-                320.0,
-                Angle::from_degrees(180.0),
-                Angle::from_degrees(270.0),
-            ),
-            0.0,
-        )
-        .with_size(3);
-        assert!(both.meta.covers(&pois[photodtn_coverage::PoiId(0)]));
-        assert!(both.meta.covers(&pois[photodtn_coverage::PoiId(1)]));
-        let smalls = [shot(2, t0, 0.0), shot(3, t1, 0.0), shot(4, t0, 180.0)];
-        let input = SelectionInput {
-            pois: &pois,
-            params: CoverageParams::default(),
-            a: peer(0, 0.9, 3, vec![both, smalls[0], smalls[1], smalls[2]]),
-            b: peer(1, 0.0, 0, vec![]),
-            others: vec![],
-        };
-        let raw = reallocate(&input);
-        let dense = reallocate_density(&input);
-        assert_eq!(
-            raw.a_selected,
-            vec![PhotoId(1)],
-            "raw greedy takes the big photo"
-        );
-        assert_eq!(
-            dense.a_selected.len(),
-            3,
-            "density greedy takes the three small ones"
-        );
-        assert!(!dense.a_selected.contains(&PhotoId(1)));
-        assert!(dense.expected > raw.expected);
-    }
-
-    #[test]
-    fn density_equals_raw_for_uniform_sizes() {
-        // With the paper's uniform photo size the two rules coincide.
-        let pois = pois();
-        let t0 = Point::new(0.0, 0.0);
-        let t1 = Point::new(600.0, 0.0);
-        let input = SelectionInput {
-            pois: &pois,
-            params: CoverageParams::default(),
-            a: peer(
-                0,
-                0.7,
-                3,
-                vec![shot(1, t0, 0.0), shot(2, t1, 90.0), shot(3, t0, 200.0)],
-            ),
-            b: peer(1, 0.2, 2, vec![shot(4, t1, 270.0)]),
-            others: vec![],
-        };
-        assert_eq!(reallocate(&input), reallocate_density(&input));
-    }
-
-    #[test]
-    fn session_matches_reallocate_across_reuse() {
-        // A reused session (reset engine, cached coverage tables,
-        // id-tagged third parties) must be bit-identical to the fresh
-        // per-contact path, on every contact it serves.
+    fn session_matches_naive_across_reuse() {
+        // A reused session (rolled-back or reset engine, cached coverage
+        // tables, id-tagged third parties) must select exactly what the
+        // naive oracle selects, with a bit-identical expected total, on
+        // every contact it serves.
         let pois = Arc::new(pois());
         let params = CoverageParams::default();
         let t0 = Point::new(0.0, 0.0);
@@ -1098,7 +818,7 @@ mod tests {
                 caps.1,
                 vec![shot(5, t0, 240.0), shot(6, t1, 200.0), shot(7, t0, 0.0)],
             );
-            let fresh_input = SelectionInput {
+            let oracle_input = SelectionInput {
                 pois: &pois,
                 params,
                 a: a.clone(),
@@ -1112,7 +832,7 @@ mod tests {
                 b,
                 others: vec![DeliveryNode::with_ids(1.0, vec![(cc.id, cc.meta)])],
             };
-            let reference = reallocate(&fresh_input);
+            let reference = reallocate_naive(&oracle_input);
             let reused = session.reallocate_with(&session_input, |id, meta| {
                 cache.get_or_build(id, meta, &pois, params)
             });

@@ -192,39 +192,3 @@ fn batched_candidate_scratch_is_allocation_free_when_warm() {
         "warm SoA scratch allocated {scratch_allocs} times in steady state"
     );
 }
-
-#[test]
-fn quantized_gain_path_is_allocation_free_when_warm() {
-    // The bitset-based aspect gain (Quantized mode) must stay on the
-    // stack: the per-bin survival loop walks fixed-width AspectBits with
-    // no interval buffers at all.
-    use photodtn_core::expected::AspectMode;
-    let (pois, metas) = world();
-    let params = CoverageParams::default();
-    let covs: Vec<PhotoCoverage> = metas
-        .iter()
-        .map(|m| PhotoCoverage::build(m, &pois, params))
-        .collect();
-    let mut engine = ExpectedEngine::new(&pois, params).with_aspect_mode(AspectMode::Quantized);
-    let relay = engine.add_node(0.6);
-    for cov in covs.iter().take(8) {
-        engine.add_photo_indexed(relay, cov);
-    }
-    let probe = engine.add_node(0.4);
-    for cov in &covs {
-        let _ = engine.gain_of_indexed(probe, cov);
-    }
-    let mut acc = 0.0;
-    let quantized_allocs = measured(|| {
-        for _ in 0..50 {
-            for cov in &covs {
-                acc += engine.gain_of_indexed(probe, cov).aspect;
-            }
-        }
-    });
-    assert_eq!(
-        quantized_allocs, 0,
-        "quantized gain_of_indexed allocated {quantized_allocs} times in steady state"
-    );
-    assert!(acc.is_finite());
-}

@@ -6,7 +6,7 @@
 use photodtn_contacts::NodeId;
 use photodtn_core::expected::enumerate::expected_coverage_enumerate_weighted;
 use photodtn_core::expected::segment::{expected_coverage_exact, expected_coverage_exact_weighted};
-use photodtn_core::expected::{AspectMode, DeliveryNode, ExpectedEngine};
+use photodtn_core::expected::{DeliveryNode, ExpectedEngine};
 use photodtn_core::selection::{reallocate, reallocate_weighted, PeerState, SelectionInput};
 use photodtn_coverage::{
     AspectWeightMap, AspectWeights, CoverageParams, Photo, PhotoMeta, Poi, PoiId, PoiList,
@@ -91,10 +91,7 @@ proptest! {
         weights in arb_weights(),
     ) {
         let params = CoverageParams::default();
-        // Pin Exact: this equivalence is the exact-arithmetic contract,
-        // and `quantized-aspects` flips the engine's default mode.
         let mut engine = ExpectedEngine::new(&pois(), params)
-            .with_aspect_mode(AspectMode::Exact)
             .with_aspect_weights(weights.clone());
         for n in &nodes {
             let h = engine.add_node(n.delivery_prob);

@@ -12,18 +12,10 @@ pub const ASPECT_BIN_WIDTH: f64 = TAU / ASPECT_BINS as f64;
 /// circle: bin `k` is the half-open interval `[k·Δ, (k+1)·Δ)` with
 /// `Δ =` [`ASPECT_BIN_WIDTH`].
 ///
-/// Union, difference and measure are O(1) word operations, which is what
-/// makes the quantized aspect-coverage path of the expected-coverage
-/// engine cheap. Three quantizations of the same angular set are used,
-/// with different guarantees:
+/// Two one-sided quantizations of an angular set are used:
 ///
-/// * **Rounded** ([`insert_arc_rounded`](Self::insert_arc_rounded)):
-///   interval endpoints are rounded to the *nearest* bin boundary
-///   (half-up, via [`f64::round`]). Measure error per maximal interval is
-///   at most one bin width; this is the representation the quantized
-///   engine mode computes with.
 /// * **Outer** ([`outer_of_arc`](Self::outer_of_arc)): every bin that
-///   intersects the set is included, so the exact set is a subset of the
+///   intersects the arc is included, so the exact arc is a subset of the
 ///   bins. An over-approximation.
 /// * **Inner** ([`inner_of_set`](Self::inner_of_set)): only bins lying
 ///   entirely inside the set *with a safety margin* are included, so the
@@ -31,16 +23,20 @@ pub const ASPECT_BIN_WIDTH: f64 = TAU / ASPECT_BINS as f64;
 ///   under-approximation.
 ///
 /// `outer(A) ⊆ inner(B)` therefore proves `A ⊆ B` exactly (up to the
-/// margin), which the engine uses as an O(1) "arc already fully covered"
-/// short-circuit that cannot change exact-mode results.
+/// margin) in two word operations, which the expected-coverage engine
+/// uses as an "arc already fully covered" short-circuit that cannot
+/// change its results.
 ///
 /// # Example
 ///
 /// ```
-/// use photodtn_geo::{Angle, Arc, AspectBits};
-/// let mut bits = AspectBits::new();
-/// bits.insert_arc_rounded(Arc::centered(Angle::ZERO, Angle::from_degrees(45.0)));
-/// assert!((bits.measure().to_degrees() - 90.0).abs() < 3.0);
+/// use photodtn_geo::{Angle, Arc, ArcSet, AspectBits};
+/// let north = Angle::from_degrees(90.0);
+/// let wide = Arc::centered(north, Angle::from_degrees(45.0));
+/// let narrow = Arc::centered(north, Angle::from_degrees(10.0));
+/// let inner = AspectBits::inner_of_set(&ArcSet::from_arc(wide));
+/// assert!(inner.contains_all(AspectBits::outer_of_arc(narrow)));
+/// assert!(!inner.contains_all(AspectBits::outer_of_arc(wide)));
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct AspectBits {
@@ -54,33 +50,10 @@ impl AspectBits {
         AspectBits { words: [0; 2] }
     }
 
-    /// The full circle (all bins set).
-    #[must_use]
-    pub fn full() -> Self {
-        AspectBits { words: [!0; 2] }
-    }
-
     /// Whether no bin is set.
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.words == [0; 2]
-    }
-
-    /// Clears all bins.
-    pub fn clear(&mut self) {
-        self.words = [0; 2];
-    }
-
-    /// Number of set bins.
-    #[must_use]
-    pub fn count(self) -> u32 {
-        self.words[0].count_ones() + self.words[1].count_ones()
-    }
-
-    /// Angular measure represented by the set bins, in radians.
-    #[must_use]
-    pub fn measure(self) -> f64 {
-        f64::from(self.count()) * ASPECT_BIN_WIDTH
     }
 
     /// Whether bin `bin` is set.
@@ -88,12 +61,6 @@ impl AspectBits {
     pub fn get(self, bin: usize) -> bool {
         debug_assert!(bin < ASPECT_BINS);
         self.words[bin / 64] & (1 << (bin % 64)) != 0
-    }
-
-    /// In-place union.
-    pub fn union_with(&mut self, other: AspectBits) {
-        self.words[0] |= other.words[0];
-        self.words[1] |= other.words[1];
     }
 
     /// `self \ other` (bins in `self` but not in `other`).
@@ -107,35 +74,10 @@ impl AspectBits {
         }
     }
 
-    /// Intersection of the two bin sets.
-    #[must_use]
-    pub fn intersect(self, other: AspectBits) -> AspectBits {
-        AspectBits {
-            words: [
-                self.words[0] & other.words[0],
-                self.words[1] & other.words[1],
-            ],
-        }
-    }
-
-    /// Whether the two bin sets share any bin.
-    #[must_use]
-    pub fn intersects(self, other: AspectBits) -> bool {
-        (self.words[0] & other.words[0]) | (self.words[1] & other.words[1]) != 0
-    }
-
     /// Whether every bin of `other` is set in `self`.
     #[must_use]
     pub fn contains_all(self, other: AspectBits) -> bool {
         other.minus(self).is_empty()
-    }
-
-    /// Iterates over the indices of the set bins, in increasing order.
-    pub fn iter_bins(self) -> BinIter {
-        BinIter {
-            words: self.words,
-            word: 0,
-        }
     }
 
     /// Sets bins `lo..hi` (half-open; `0 ≤ lo ≤ hi ≤ 128`).
@@ -157,19 +99,9 @@ impl AspectBits {
         }
     }
 
-    /// Adds a non-wrapping interval `[lo, hi] ⊆ [0, 2π]` with endpoints
-    /// rounded to the nearest bin boundary (ties round up).
-    pub fn insert_rounded(&mut self, lo: f64, hi: f64) {
-        let qlo = ((lo / ASPECT_BIN_WIDTH).round() as i64).clamp(0, ASPECT_BINS as i64) as usize;
-        let qhi = ((hi / ASPECT_BIN_WIDTH).round() as i64).clamp(0, ASPECT_BINS as i64) as usize;
-        if qlo < qhi {
-            self.set_range(qlo, qhi);
-        }
-    }
-
     /// Adds every bin intersecting the non-wrapping interval `[lo, hi]`
     /// (over-approximation).
-    pub fn insert_outer(&mut self, lo: f64, hi: f64) {
+    fn insert_outer(&mut self, lo: f64, hi: f64) {
         if hi <= lo {
             return;
         }
@@ -180,7 +112,7 @@ impl AspectBits {
 
     /// Adds every bin contained in `[lo + margin, hi − margin]`
     /// (under-approximation by at least `margin` on each side).
-    pub fn insert_inner(&mut self, lo: f64, hi: f64, margin: f64) {
+    fn insert_inner(&mut self, lo: f64, hi: f64, margin: f64) {
         let qlo = (((lo + margin) / ASPECT_BIN_WIDTH).ceil() as i64).clamp(0, ASPECT_BINS as i64)
             as usize;
         let qhi = (((hi - margin) / ASPECT_BIN_WIDTH).floor() as i64).clamp(0, ASPECT_BINS as i64)
@@ -190,24 +122,9 @@ impl AspectBits {
         }
     }
 
-    /// Adds an arc with rounded quantization (wrap handled by splitting at
-    /// the zero direction, like [`ArcSet`]).
-    pub fn insert_arc_rounded(&mut self, arc: Arc) {
-        for (lo, hi) in arc.split() {
-            self.insert_rounded(lo, hi);
-        }
-    }
-
-    /// The rounded quantization of a single arc.
-    #[must_use]
-    pub fn rounded_of_arc(arc: Arc) -> Self {
-        let mut b = AspectBits::new();
-        b.insert_arc_rounded(arc);
-        b
-    }
-
     /// The outer (over-approximating) quantization of a single arc: the
-    /// exact arc is a subset of the returned bins.
+    /// exact arc is a subset of the returned bins. Wrap is handled by
+    /// splitting at the zero direction, like [`ArcSet`].
     #[must_use]
     pub fn outer_of_arc(arc: Arc) -> Self {
         let mut b = AspectBits::new();
@@ -241,30 +158,6 @@ impl fmt::Debug for AspectBits {
     }
 }
 
-/// Iterator over the set bins of an [`AspectBits`], from
-/// [`AspectBits::iter_bins`].
-pub struct BinIter {
-    words: [u64; 2],
-    word: usize,
-}
-
-impl Iterator for BinIter {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.word < 2 {
-            let w = self.words[self.word];
-            if w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.words[self.word] = w & (w - 1);
-                return Some(self.word * 64 + bit);
-            }
-            self.word += 1;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,36 +167,29 @@ mod tests {
         Arc::centered(Angle::from_degrees(center), Angle::from_degrees(half))
     }
 
+    /// The set bins, in increasing order.
+    fn bins(bits: AspectBits) -> Vec<usize> {
+        (0..ASPECT_BINS).filter(|&b| bits.get(b)).collect()
+    }
+
     #[test]
-    fn empty_and_full() {
+    fn empty_and_full_arcs() {
         assert!(AspectBits::new().is_empty());
-        assert_eq!(AspectBits::new().count(), 0);
-        assert_eq!(AspectBits::full().count(), ASPECT_BINS as u32);
-        assert!((AspectBits::full().measure() - TAU).abs() < 1e-12);
+        assert!(AspectBits::outer_of_arc(Arc::empty()).is_empty());
+        assert_eq!(
+            bins(AspectBits::outer_of_arc(Arc::full())).len(),
+            ASPECT_BINS
+        );
     }
 
     #[test]
-    fn rounded_measure_close_to_exact() {
-        for (c, h) in [(0.0, 20.0), (90.0, 45.0), (355.0, 30.0), (180.0, 90.0)] {
-            let arc = arc_deg(c, h);
-            let bits = AspectBits::rounded_of_arc(arc);
-            let exact = ArcSet::from_arc(arc).measure();
-            assert!(
-                (bits.measure() - exact).abs() <= 2.0 * ASPECT_BIN_WIDTH,
-                "rounded measure off at center={c} half={h}"
-            );
-        }
-    }
-
-    #[test]
-    fn outer_contains_rounded_and_inner() {
+    fn outer_contains_inner() {
         let arc = arc_deg(123.0, 31.0);
         let outer = AspectBits::outer_of_arc(arc);
-        let rounded = AspectBits::rounded_of_arc(arc);
         let inner = AspectBits::inner_of_set(&ArcSet::from_arc(arc));
-        assert!(outer.contains_all(rounded));
+        assert!(!inner.is_empty());
         assert!(outer.contains_all(inner));
-        assert!(rounded.contains_all(inner));
+        assert!(!inner.contains_all(outer));
     }
 
     #[test]
@@ -312,7 +198,7 @@ mod tests {
             .into_iter()
             .collect();
         let inner = AspectBits::inner_of_set(&set);
-        for bin in inner.iter_bins() {
+        for bin in bins(inner) {
             let mid = (bin as f64 + 0.5) * ASPECT_BIN_WIDTH;
             assert!(
                 set.contains(Angle::from_radians(mid)),
@@ -335,36 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn set_operations() {
-        let a = AspectBits::rounded_of_arc(arc_deg(0.0, 45.0));
-        let b = AspectBits::rounded_of_arc(arc_deg(45.0, 45.0));
-        let mut u = a;
-        u.union_with(b);
-        assert!(u.contains_all(a) && u.contains_all(b));
-        assert_eq!(u.count(), a.count() + b.minus(a).count());
-        assert!(a.intersects(b)); // the two 90° arcs overlap near 0°+45°
-        assert_eq!(a.intersect(b).count() + a.minus(b).count(), a.count());
-        let far = AspectBits::rounded_of_arc(arc_deg(180.0, 10.0));
-        assert!(!a.intersects(far));
-    }
-
-    #[test]
-    fn iter_bins_roundtrip() {
-        let bits = AspectBits::rounded_of_arc(arc_deg(350.0, 20.0));
-        let mut rebuilt = AspectBits::new();
-        let collected: Vec<usize> = bits.iter_bins().collect();
-        assert!(collected.windows(2).all(|w| w[0] < w[1]));
-        for bin in &collected {
-            rebuilt.set_range(*bin, bin + 1);
+    fn minus_and_contains_all() {
+        let a = AspectBits::outer_of_arc(arc_deg(0.0, 45.0));
+        let b = AspectBits::outer_of_arc(arc_deg(45.0, 45.0));
+        let far = AspectBits::outer_of_arc(arc_deg(180.0, 10.0));
+        assert!(a.contains_all(a.minus(b)));
+        assert!(!a.minus(b).is_empty());
+        assert_eq!(a.minus(far), a);
+        assert!(!a.contains_all(b));
+        let mut set_range = AspectBits::new();
+        for bin in bins(a) {
+            set_range.set_range(bin, bin + 1);
         }
-        assert_eq!(rebuilt, bits);
-        assert_eq!(collected.len(), bits.count() as usize);
-    }
-
-    #[test]
-    fn full_arc_sets_every_bin() {
-        assert_eq!(AspectBits::rounded_of_arc(Arc::full()), AspectBits::full());
-        assert_eq!(AspectBits::outer_of_arc(Arc::full()), AspectBits::full());
-        assert!(AspectBits::rounded_of_arc(Arc::empty()).is_empty());
+        assert_eq!(set_range, a);
     }
 }

@@ -45,7 +45,7 @@ mod segment;
 pub use angle::Angle;
 pub use arc::Arc;
 pub use arcset::ArcSet;
-pub use aspectbits::{AspectBits, BinIter, ASPECT_BINS, ASPECT_BIN_WIDTH};
+pub use aspectbits::{AspectBits, ASPECT_BINS, ASPECT_BIN_WIDTH};
 pub use bbox::BBox;
 pub use point::{Point, Vec2};
 pub use sector::Sector;
